@@ -128,6 +128,18 @@ fn harvest(run: &mut ObservedRun, sim: &mut Sim, node: &str) {
         &format!("eval.view_recomputes.{node}"),
         evals.view_recomputes as f64,
     );
+    reg.gauge(
+        &format!("eval.view_rows_rebuilt.{node}"),
+        evals.view_rows_rebuilt as f64,
+    );
+    reg.gauge(
+        &format!("eval.maint_rows_retracted.{node}"),
+        evals.maint_rows_retracted as f64,
+    );
+    reg.gauge(
+        &format!("eval.maint_rows_rederived.{node}"),
+        evals.maint_rows_rederived as f64,
+    );
     for (table, n) in counts {
         reg.gauge(&format!("rows.{node}.{table}"), n as f64);
     }

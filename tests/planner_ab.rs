@@ -7,6 +7,8 @@
 //! every Overlog node plus the client-visible outputs are compared as
 //! strings.
 
+mod churn;
+
 use boom::core::FullStackBuilder;
 use boom::fs::{ControlPlane, FsClusterBuilder};
 use boom::mr::workload::synth_text;
@@ -66,6 +68,16 @@ fn fs_scenario_is_planner_independent() {
             overlog_state_fingerprint(&mut c.sim)
         )
     });
+}
+
+/// NameNode namespace churn: deep directory renames, rename-then-rm,
+/// renames back and multi-request ticks — the recursive `fqpath` view is
+/// maintained by DRed under the default planner and recomputed under the
+/// baseline.
+#[test]
+fn fs_namespace_churn_is_planner_independent() {
+    let script = churn::scripted();
+    assert_ab_identical("fs-churn", |opts| churn::run(opts, &script));
 }
 
 /// BOOM-MR wordcount under every shipped (assignment × speculation)
