@@ -4,27 +4,26 @@
 //! assignment-bearing usage view), once with the plan's compiled kernels
 //! executing and once forced onto the interpreted walk
 //! (`PlanOptions::kernels = false`, the `BOOM_KERNELS=0` path). The
-//! sweep crosses both engines with shard counts and maintenance modes,
-//! so the kernels are measured *composed* with PR 6 sharding and PR 9
-//! incremental maintenance, not in isolation.
+//! sweep crosses both engines with both maintenance modes, so the
+//! kernels are measured *composed* with incremental maintenance, not in
+//! isolation.
 //!
 //! Every cell carries a hard byte-identity verdict against the
-//! interpreted serial baseline, kernel cells must show
+//! interpreted baseline, kernel cells must show
 //! `kernel_evals > 0` (the compiled path really engaged) and
 //! interpreted cells `kernel_evals == 0` (the baseline really ran
 //! interpreted).
 //!
 //! `--smoke` runs CI-scale sizes and gates identity + path engagement
 //! only (CPU speedup is machine-dependent). The full run additionally
-//! gates **≥ 2× tuples/CPU-sec on the serial headline cell** and writes
+//! gates **≥ 2× tuples/CPU-sec on the headline cell** and writes
 //! `results/e15_kernel.txt` and `results/BENCH_e15.json`.
 
 use boom_bench::{run_kernel_bench, KernelBenchCase, KernelBenchResult};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-/// The full-run acceptance bar on the `(shards=1, maintenance=off)`
-/// headline cell: evaluation tuples/CPU-sec, kernels over interpreted.
+/// The full-run acceptance bar on the `maintenance=off` headline cell: evaluation tuples/CPU-sec, kernels over interpreted.
 const SPEEDUP_FLOOR: f64 = 2.0;
 
 fn render_text(res: &KernelBenchResult) -> String {
@@ -35,22 +34,13 @@ fn render_text(res: &KernelBenchResult) -> String {
     );
     let _ = writeln!(
         out,
-        "{:>7} {:>6} {:>12} {:>8} {:>12} {:>12} {:>10} {:>8} {:>7}",
-        "shards",
-        "maint",
-        "mode",
-        "tuples",
-        "eval (s)",
-        "tuples/cpus",
-        "wall (ms)",
-        "kevals",
-        "ident"
+        "{:>6} {:>12} {:>8} {:>12} {:>12} {:>10} {:>8} {:>7}",
+        "maint", "mode", "tuples", "eval (s)", "tuples/cpus", "wall (ms)", "kevals", "ident"
     );
     for c in &res.cases {
         let _ = writeln!(
             out,
-            "{:>7} {:>6} {:>12} {:>8} {:>12.4} {:>12.0} {:>10.1} {:>8} {:>7}",
-            c.shards,
+            "{:>6} {:>12} {:>8} {:>12.4} {:>12.0} {:>10.1} {:>8} {:>7}",
             c.maintenance,
             c.mode,
             c.tuples,
@@ -61,10 +51,10 @@ fn render_text(res: &KernelBenchResult) -> String {
             c.fingerprint_match
         );
     }
-    for (shards, maint, s) in &res.speedups {
+    for (maint, s) in &res.speedups {
         let _ = writeln!(
             out,
-            "# speedup @ shards={shards} maintenance={maint}: {s:.2}x tuples/CPU-sec \
+            "# speedup @ maintenance={maint}: {s:.2}x tuples/CPU-sec \
              (interpreted eval / kernel eval)"
         );
     }
@@ -79,11 +69,10 @@ fn render_json(res: &KernelBenchResult) -> String {
         }
         let _ = write!(
             out,
-            "{{\"mode\":\"{}\",\"shards\":{},\"maintenance\":{},\"tuples\":{},\
+            "{{\"mode\":\"{}\",\"maintenance\":{},\"tuples\":{},\
              \"eval_secs\":{:.6},\"tuples_per_sec\":{:.1},\"wall_ms\":{:.2},\
              \"kernel_evals\":{},\"fingerprint_match\":{}}}",
             c.mode,
-            c.shards,
             c.maintenance,
             c.tuples,
             c.eval_secs,
@@ -94,14 +83,11 @@ fn render_json(res: &KernelBenchResult) -> String {
         );
     }
     out.push_str("],\"speedups\":[");
-    for (i, (shards, maint, s)) in res.speedups.iter().enumerate() {
+    for (i, (maint, s)) in res.speedups.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"shards\":{shards},\"maintenance\":{maint},\"speedup\":{s:.2}}}"
-        );
+        let _ = write!(out, "{{\"maintenance\":{maint},\"speedup\":{s:.2}}}");
     }
     out.push_str("]}");
     out
@@ -118,11 +104,10 @@ fn main() -> ExitCode {
     };
     let res = if smoke {
         eprintln!("E15 smoke: CI-scale churn, byte-identity + kernel-path gate");
-        run_kernel_bench(&[1, 2], arg("--rows").unwrap_or(2_000), 4, 128, 1)
+        run_kernel_bench(arg("--rows").unwrap_or(2_000), 4, 128, 1)
     } else {
         eprintln!("E15: full chunk-churn sweep (min of 5 repetitions per cell)");
         run_kernel_bench(
-            &[1, 4],
             arg("--rows").unwrap_or(10_000),
             arg("--rounds").unwrap_or(8),
             arg("--churn").unwrap_or(1_024),
@@ -137,9 +122,9 @@ fn main() -> ExitCode {
     if !divergent.is_empty() {
         for c in divergent {
             eprintln!(
-                "E15 FAIL: `{}` at shards={} maintenance={} diverged from the \
-                 interpreted serial baseline",
-                c.mode, c.shards, c.maintenance
+                "E15 FAIL: `{}` at maintenance={} diverged from the \
+                 interpreted baseline",
+                c.mode, c.maintenance
             );
         }
         return ExitCode::FAILURE;
@@ -147,30 +132,30 @@ fn main() -> ExitCode {
     for c in &res.cases {
         if c.mode == "kernels" && c.kernel_evals == 0 {
             eprintln!(
-                "E15 FAIL: kernel run at shards={} maintenance={} never took the \
+                "E15 FAIL: kernel run at maintenance={} never took the \
                  compiled path",
-                c.shards, c.maintenance
+                c.maintenance
             );
             return ExitCode::FAILURE;
         }
         if c.mode == "interpreted" && c.kernel_evals != 0 {
             eprintln!(
-                "E15 FAIL: interpreted baseline at shards={} maintenance={} \
+                "E15 FAIL: interpreted baseline at maintenance={} \
                  executed {} compiled-kernel evaluations",
-                c.shards, c.maintenance, c.kernel_evals
+                c.maintenance, c.kernel_evals
             );
             return ExitCode::FAILURE;
         }
     }
     if !smoke {
-        let (_, _, headline) = *res
+        let (_, headline) = *res
             .speedups
             .iter()
-            .find(|(shards, maint, _)| *shards == 1 && !*maint)
-            .expect("serial no-maintenance cell is always swept");
+            .find(|(maint, _)| !*maint)
+            .expect("no-maintenance cell is always swept");
         if headline < SPEEDUP_FLOOR {
             eprintln!(
-                "E15 FAIL: {headline:.2}x tuples/CPU-sec on the serial headline cell \
+                "E15 FAIL: {headline:.2}x tuples/CPU-sec on the headline cell \
                  (acceptance floor is {SPEEDUP_FLOOR}x)"
             );
             return ExitCode::FAILURE;

@@ -1,6 +1,6 @@
 //! Merge every `results/BENCH_e*.json` into one trajectory table.
 //!
-//! Each full-scale experiment binary (`e10_engine`, `e11_shard`, …)
+//! Each full-scale experiment binary (`e10_engine`, `e14_maint`, …)
 //! drops a machine-readable `results/BENCH_e{N}.json` next to its text
 //! report. This bin stitches those files into a single GitHub-flavored
 //! markdown table so CI can append the whole perf trajectory to
@@ -241,11 +241,6 @@ const SHAPES: &[(&str, &[&str], &[&str])] = &[
         &["tuples", "tuples_per_sec", "fingerprint_match"],
     ),
     (
-        "e11_shard",
-        &["batch", "shards"],
-        &["tuples", "wall_ms", "sharded_delta", "fingerprint_match"],
-    ),
-    (
         "e12_recovery",
         &["history", "checkpoint_every"],
         &["replayed_entries", "recovery_micros", "fingerprint_match"],
@@ -273,7 +268,7 @@ const SHAPES: &[(&str, &[&str], &[&str])] = &[
     ),
     (
         "e15_kernel",
-        &["mode", "shards", "maintenance"],
+        &["mode", "maintenance"],
         &["tuples_per_sec", "kernel_evals", "fingerprint_match"],
     ),
 ];
@@ -364,7 +359,6 @@ fn summarize(files: &[(String, Json)]) -> (String, Vec<String>) {
 /// summary must fail rather than shrink.
 const REQUIRED: &[&str] = &[
     "BENCH_e10.json",
-    "BENCH_e11.json",
     "BENCH_e12.json",
     "BENCH_e13.json",
     "BENCH_e14.json",
@@ -483,11 +477,11 @@ mod tests {
     #[test]
     fn e15_shape_labels_by_engine_configuration() {
         let doc = parse(
-            r#"{"experiment":"e15_kernel","cases":[{"mode":"kernels","shards":1,"maintenance":false,"tuples":81920,"eval_secs":0.41,"tuples_per_sec":199804.1,"wall_ms":512.0,"kernel_evals":737,"fingerprint_match":true}]}"#,
+            r#"{"experiment":"e15_kernel","cases":[{"mode":"kernels","maintenance":false,"tuples":81920,"eval_secs":0.41,"tuples_per_sec":199804.1,"wall_ms":512.0,"kernel_evals":737,"fingerprint_match":true}]}"#,
         )
         .unwrap();
         let (md, hollow) = summarize(&[("BENCH_e15.json".into(), doc)]);
-        assert!(md.contains("| e15_kernel | kernels/1/NO | "));
+        assert!(md.contains("| e15_kernel | kernels/NO | "));
         assert!(md.contains("tuples_per_sec=199804.10"));
         assert!(md.contains("kernel_evals=737"));
         assert!(md.contains("fingerprint_match=yes"));

@@ -914,268 +914,6 @@ pub fn run_engine_bench(churn_ops: usize, mr_words: usize, nn_ops: usize) -> Vec
 }
 
 // ---------------------------------------------------------------------------
-// E11: intra-node sharded evaluation — serial vs 2/4/8-shard wall clock on
-// batched NameNode request storms
-// ---------------------------------------------------------------------------
-
-/// One measured `(batch size, shard count)` cell of the E11 table.
-#[derive(Debug, Clone)]
-pub struct ShardBenchCase {
-    /// Requests injected per same-instant batch — the request-delta width
-    /// the analysis-approved rules fan out over.
-    pub batch: usize,
-    /// `PlanOptions::shards` for this run (1 = the serial baseline).
-    pub shards: usize,
-    /// Head rows produced by rule-body evaluation during the measured
-    /// section (deterministic; identical at every shard count because
-    /// sharded evaluation merges back into the serial dispatch order).
-    pub tuples: u64,
-    /// Overlog CPU seconds consumed during the measured section.
-    pub busy_secs: f64,
-    /// Host wall-clock milliseconds for the measured section.
-    pub wall_ms: f64,
-    /// Delta rows that actually went through the sharded evaluation path
-    /// (0 for the serial baseline; >0 is proof the path engaged).
-    pub sharded_delta: u64,
-    /// Did this run's final state match the shards=1 run byte for byte?
-    /// (Trivially true for the shards=1 rows.)
-    pub fingerprint_match: bool,
-}
-
-/// Everything one `run_shard_bench` sweep yields.
-#[derive(Debug, Clone)]
-pub struct ShardBenchResult {
-    /// The `(batch, shards)` table, serial row first within each batch.
-    /// Wall clocks are the minimum over the sweep's repetitions; the
-    /// fingerprint gate must hold on every repetition.
-    pub cases: Vec<ShardBenchCase>,
-    /// First batch size at which some sharded run beat the serial wall
-    /// clock by more than a 3% noise floor — the E11 acceptance figure.
-    /// `None` if sharding never won at the sizes swept, which is the
-    /// *expected* outcome on a single-core machine (see `cores`): with
-    /// one core, fan-out is pure overhead and any measured "win" would
-    /// be noise.
-    pub crossover_batch: Option<usize>,
-    /// Hardware parallelism of the measuring machine — the context that
-    /// makes `crossover_batch` interpretable.
-    pub cores: usize,
-    /// Per-shard work attribution (delta rows, output rows, skew) for the
-    /// widest sharded run, rendered by `boom_trace::render_shard_profile`.
-    pub profile: String,
-}
-
-/// The E10 create-storm hot path, re-cut for intra-node sharding: one
-/// NameNode, message latency pinned to a constant so each injected batch
-/// of `batch` requests lands at a single simulated instant and becomes
-/// one `batch`-row request delta — wide enough (≥ the runtime's minimum
-/// sharded delta of 16 rows) for the shard-safety pass's `sharded` and
-/// `broadcast` verdicts to fan evaluation out across worker threads. The
-/// sequential E10 chunk-churn client loop produces 1-row deltas and can
-/// never trigger sharding; batching is what makes the comparison real.
-fn bench_shard_storm(
-    shards: usize,
-    batch: usize,
-    rounds: usize,
-) -> (EngineRun, u64, Vec<boom_trace::ShardProfileRow>) {
-    use boom_overlog::PlanOptions;
-    use boom_simnet::{overlog_state_fingerprint, set_plan_options_all};
-    let mut c = FsClusterBuilder {
-        sim: SimConfig {
-            min_latency: 1,
-            max_latency: 1,
-            ..SimConfig::default()
-        },
-        control: ControlPlane::Declarative,
-        datanodes: 2,
-        replication: 1,
-        ..Default::default()
-    }
-    .build();
-    if shards > 1 {
-        set_plan_options_all(
-            &mut c.sim,
-            PlanOptions {
-                shards,
-                ..PlanOptions::default()
-            },
-        );
-    }
-    let cl = c.client.clone();
-    cl.mkdir(&mut c.sim, "/load").expect("mkdir works");
-    let nn = c.namenodes[0].clone();
-    let (t0, b0, k0) = overlog_meters(&mut c.sim);
-    let wall = std::time::Instant::now();
-    let mut sent = 0usize;
-    for _ in 0..rounds {
-        for _ in 0..batch {
-            let path = format!("/load/file{sent}");
-            c.sim.inject(
-                &nn,
-                fsproto::REQUEST,
-                fsproto::request_row("client0", sent as i64, "create", vec![Value::str(&path)]),
-            );
-            sent += 1;
-        }
-        let want = sent;
-        let deadline = c.sim.now() + 10_000_000;
-        let done = c.sim.run_while(deadline, move |s| {
-            s.with_actor::<ClientActor, _>("client0", |a| a.response_count()) >= want
-        });
-        assert!(done, "E11 storm round did not finish");
-    }
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let (t1, b1, k1) = overlog_meters(&mut c.sim);
-    let (sharded_delta, profile) = c.sim.with_actor::<OverlogActor, _>(&nn, |a| {
-        let prof = boom_trace::collect_shard_profile(&nn, a.runtime());
-        let d: u64 = prof
-            .iter()
-            .flat_map(|r| r.shards.iter().map(|s| s.delta_in))
-            .sum();
-        (d, prof)
-    });
-    (
-        EngineRun {
-            tuples: t1 - t0,
-            busy_secs: (b1 - b0).max(1e-9),
-            wall_ms,
-            kernel_evals: k1 - k0,
-            fingerprint: overlog_state_fingerprint(&mut c.sim),
-        },
-        sharded_delta,
-        profile,
-    )
-}
-
-/// Profile one storm run: the NameNode's top-K hot rules with eval time,
-/// for digging into where the serial wall clock actually goes (`e11_shard
-/// --hot`).
-pub fn profile_shard_storm(shards: usize, batch: usize, rounds: usize) -> String {
-    use boom_simnet::set_plan_options_all;
-    let mut c = FsClusterBuilder {
-        sim: SimConfig {
-            min_latency: 1,
-            max_latency: 1,
-            ..SimConfig::default()
-        },
-        control: ControlPlane::Declarative,
-        datanodes: 2,
-        replication: 1,
-        ..Default::default()
-    }
-    .build();
-    if shards > 1 {
-        set_plan_options_all(
-            &mut c.sim,
-            boom_overlog::PlanOptions {
-                shards,
-                ..Default::default()
-            },
-        );
-    }
-    let cl = c.client.clone();
-    cl.mkdir(&mut c.sim, "/load").expect("mkdir works");
-    let nn = c.namenodes[0].clone();
-    let mut sent = 0usize;
-    for _ in 0..rounds {
-        for _ in 0..batch {
-            let path = format!("/load/file{sent}");
-            c.sim.inject(
-                &nn,
-                fsproto::REQUEST,
-                fsproto::request_row("client0", sent as i64, "create", vec![Value::str(&path)]),
-            );
-            sent += 1;
-        }
-        let want = sent;
-        let deadline = c.sim.now() + 10_000_000;
-        assert!(c.sim.run_while(deadline, move |s| {
-            s.with_actor::<ClientActor, _>("client0", |a| a.response_count()) >= want
-        }));
-    }
-    c.sim.with_actor::<OverlogActor, _>(&nn, |a| {
-        let rows = boom_trace::collect_rule_profile(&nn, a.runtime());
-        boom_trace::render_hot_rules(&rows, 15, true)
-    })
-}
-
-/// E11: sweep the batched create storm over `batch_sizes` × `shard_counts`
-/// (always including the shards=1 baseline), gating every sharded row on
-/// byte-identity with its serial twin and recording the first batch size
-/// where sharding wins wall-clock. Each cell runs `reps` times and keeps
-/// the minimum wall clock (the standard noise filter for a deterministic
-/// workload); the fingerprint gate must hold on *every* repetition.
-pub fn run_shard_bench(
-    rounds: usize,
-    batch_sizes: &[usize],
-    shard_counts: &[usize],
-    reps: usize,
-) -> ShardBenchResult {
-    let reps = reps.max(1);
-    let min_of = |shards: usize, batch: usize| {
-        let mut best: Option<(EngineRun, u64, Vec<boom_trace::ShardProfileRow>)> = None;
-        for _ in 0..reps {
-            let (run, sd, prof) = bench_shard_storm(shards, batch, rounds);
-            if let Some((b, bsd, _)) = &best {
-                assert_eq!(
-                    run.fingerprint, b.fingerprint,
-                    "E11 repetitions of an identical config must agree"
-                );
-                assert_eq!(sd, *bsd);
-            }
-            if best
-                .as_ref()
-                .is_none_or(|(b, _, _)| run.wall_ms < b.wall_ms)
-            {
-                best = Some((run, sd, prof));
-            }
-        }
-        best.expect("reps >= 1")
-    };
-    let mut cases = Vec::new();
-    let mut crossover_batch = None;
-    let mut profile = String::from("no rule took the sharded path\n");
-    for &batch in batch_sizes {
-        let (serial, sd0, _) = min_of(1, batch);
-        cases.push(ShardBenchCase {
-            batch,
-            shards: 1,
-            tuples: serial.tuples,
-            busy_secs: serial.busy_secs,
-            wall_ms: serial.wall_ms,
-            sharded_delta: sd0,
-            fingerprint_match: true,
-        });
-        let mut best = f64::INFINITY;
-        for &shards in shard_counts.iter().filter(|&&s| s > 1) {
-            let (run, sd, prof) = min_of(shards, batch);
-            best = best.min(run.wall_ms);
-            cases.push(ShardBenchCase {
-                batch,
-                shards,
-                tuples: run.tuples,
-                busy_secs: run.busy_secs,
-                wall_ms: run.wall_ms,
-                sharded_delta: sd,
-                fingerprint_match: run.fingerprint == serial.fingerprint,
-            });
-            profile = boom_trace::render_shard_profile(&prof, false);
-        }
-        // A crossover must clear a 3% noise floor: on a single-core box
-        // the min-of-reps still jitters by a percent or two, and a
-        // "win" inside that band is measurement error, not parallelism.
-        if crossover_batch.is_none() && best < serial.wall_ms * 0.97 {
-            crossover_batch = Some(batch);
-        }
-    }
-    ShardBenchResult {
-        cases,
-        crossover_batch,
-        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        profile,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // E14: incremental view maintenance — maintained vs full recompute under
 // heartbeat churn against a large materialized replica table
 // ---------------------------------------------------------------------------
@@ -1394,17 +1132,15 @@ pub fn run_maint_bench(
 
 // ---------------------------------------------------------------------------
 // E15: compiled kernels — interpreted vs kernel-specialized evaluation on
-// chunk-churn, across shard counts and maintenance modes
+// chunk-churn, with and without incremental maintenance
 // ---------------------------------------------------------------------------
 
-/// One measured `(mode, shards, maintenance)` cell of the E15 table.
+/// One measured `(mode, maintenance)` cell of the E15 table.
 #[derive(Debug, Clone)]
 pub struct KernelBenchCase {
     /// `"kernels"` (compiled fast path) or `"interpreted"`
     /// (`PlanOptions::kernels = false`).
     pub mode: String,
-    /// `PlanOptions::shards` for this run.
-    pub shards: usize,
     /// `PlanOptions::maintenance` for this run.
     pub maintenance: bool,
     /// Churn tuples delivered during the measured section. Identical
@@ -1422,22 +1158,21 @@ pub struct KernelBenchCase {
     /// interpreted rows really ran interpreted; >0 proves the kernel
     /// path engaged).
     pub kernel_evals: u64,
-    /// Did this run's final state match the interpreted shards=1 baseline
-    /// byte for byte? (Trivially true for that baseline row.)
+    /// Did this run's final state match the interpreted baseline byte for
+    /// byte? (Trivially true for that baseline row.)
     pub fingerprint_match: bool,
 }
 
 /// Everything one `run_kernel_bench` sweep yields.
 #[derive(Debug, Clone)]
 pub struct KernelBenchResult {
-    /// The cell table: for each `(shards, maintenance)` pair, the
-    /// interpreted row then the kernels row.
+    /// The cell table: for each maintenance mode, the interpreted row
+    /// then the kernels row.
     pub cases: Vec<KernelBenchCase>,
-    /// Per `(shards, maintenance)` pair:
-    /// `eval_interpreted / eval_kernels` — how many times cheaper rule
-    /// evaluation gets on the compiled path. The `(1, false)` entry is
-    /// the headline E15 acceptance figure.
-    pub speedups: Vec<(usize, bool, f64)>,
+    /// Per maintenance mode: `eval_interpreted / eval_kernels` — how many
+    /// times cheaper rule evaluation gets on the compiled path. The
+    /// `false` entry is the headline E15 acceptance figure.
+    pub speedups: Vec<(bool, f64)>,
 }
 
 /// Everything one `bench_kernel_churn` run yields.
@@ -1462,7 +1197,6 @@ struct KernelRun {
 /// `PlanOptions::kernels` per cell instead.
 fn bench_kernel_churn(
     kernels: bool,
-    shards: usize,
     maintenance: bool,
     rows: usize,
     rounds: usize,
@@ -1490,7 +1224,6 @@ fn bench_kernel_churn(
     r.load(SRC).expect("bench program loads");
     r.set_plan_options(PlanOptions {
         kernels,
-        shards,
         maintenance,
         ..PlanOptions::default()
     });
@@ -1580,25 +1313,24 @@ fn bench_kernel_churn(
     }
 }
 
-/// E15: sweep the chunk-churn workload over shard counts × maintenance
-/// modes × both engines, gating every cell on byte-identity with the
-/// interpreted serial baseline and recording the evaluation-CPU speedup
-/// per `(shards, maintenance)` pair. Each cell runs `reps` times keeping
+/// E15: sweep the chunk-churn workload over maintenance modes × both
+/// engines, gating every cell on byte-identity with the interpreted
+/// baseline and recording the evaluation-CPU speedup per maintenance
+/// mode. Each cell runs `reps` times keeping
 /// the minimum evaluation time (the standard noise filter for a
 /// deterministic workload); the fingerprint gate must hold on *every*
 /// repetition.
 pub fn run_kernel_bench(
-    shard_counts: &[usize],
     rows: usize,
     rounds: usize,
     churn: usize,
     reps: usize,
 ) -> KernelBenchResult {
     let reps = reps.max(1);
-    let min_of = |kernels: bool, shards: usize, maintenance: bool| {
+    let min_of = |kernels: bool, maintenance: bool| {
         let mut best: Option<KernelRun> = None;
         for _ in 0..reps {
-            let run = bench_kernel_churn(kernels, shards, maintenance, rows, rounds, churn);
+            let run = bench_kernel_churn(kernels, maintenance, rows, rounds, churn);
             if let Some(b) = &best {
                 assert_eq!(
                     run.fingerprint, b.fingerprint,
@@ -1615,32 +1347,25 @@ pub fn run_kernel_bench(
     let mut cases = Vec::new();
     let mut speedups = Vec::new();
     let mut baseline_fp: Option<String> = None;
-    for &shards in shard_counts {
-        for maintenance in [false, true] {
-            let interpreted = min_of(false, shards, maintenance);
-            let kernelized = min_of(true, shards, maintenance);
-            let reference = baseline_fp
-                .get_or_insert_with(|| interpreted.fingerprint.clone())
-                .clone();
-            let case = |mode: &str, r: &KernelRun| KernelBenchCase {
-                mode: mode.to_string(),
-                shards,
-                maintenance,
-                tuples,
-                eval_secs: r.eval_secs,
-                tuples_per_sec: tuples as f64 / r.eval_secs,
-                wall_ms: r.wall_ms,
-                kernel_evals: r.kernel_evals,
-                fingerprint_match: r.fingerprint == reference,
-            };
-            cases.push(case("interpreted", &interpreted));
-            cases.push(case("kernels", &kernelized));
-            speedups.push((
-                shards,
-                maintenance,
-                interpreted.eval_secs / kernelized.eval_secs,
-            ));
-        }
+    for maintenance in [false, true] {
+        let interpreted = min_of(false, maintenance);
+        let kernelized = min_of(true, maintenance);
+        let reference = baseline_fp
+            .get_or_insert_with(|| interpreted.fingerprint.clone())
+            .clone();
+        let case = |mode: &str, r: &KernelRun| KernelBenchCase {
+            mode: mode.to_string(),
+            maintenance,
+            tuples,
+            eval_secs: r.eval_secs,
+            tuples_per_sec: tuples as f64 / r.eval_secs,
+            wall_ms: r.wall_ms,
+            kernel_evals: r.kernel_evals,
+            fingerprint_match: r.fingerprint == reference,
+        };
+        cases.push(case("interpreted", &interpreted));
+        cases.push(case("kernels", &kernelized));
+        speedups.push((maintenance, interpreted.eval_secs / kernelized.eval_secs));
     }
     KernelBenchResult { cases, speedups }
 }
@@ -1689,31 +1414,6 @@ mod tests {
         let best = results.iter().map(|r| r.job_ms).min().unwrap();
         let worst = results.iter().map(|r| r.job_ms).max().unwrap();
         assert!(worst < best * 3, "{best} vs {worst}");
-    }
-
-    #[test]
-    fn e11_small_scale_shards_and_stays_identical() {
-        let res = run_shard_bench(2, &[24], &[1, 2], 1);
-        assert_eq!(res.cases.len(), 2);
-        let serial = &res.cases[0];
-        let sharded = &res.cases[1];
-        assert_eq!(serial.shards, 1);
-        assert_eq!(serial.sharded_delta, 0, "baseline must not shard");
-        assert_eq!(sharded.shards, 2);
-        assert!(
-            sharded.sharded_delta > 0,
-            "a 24-row request delta must take the sharded path"
-        );
-        assert!(sharded.fingerprint_match, "sharded state must be identical");
-        assert_eq!(
-            serial.tuples, sharded.tuples,
-            "dispatch-order merge keeps derivation counts identical"
-        );
-        assert!(
-            res.profile.contains("per-shard attribution"),
-            "{}",
-            res.profile
-        );
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //! | E8 | `e8_chaos` | chaos schedules: fault injection + self-healing invariants |
 //! | E9 | `e9_planner` | analysis-driven planner A/B (CALM-scoped views, join order) |
 //! | E10 | `e10_engine` | engine hot path: tuples/CPU-sec, serial-vs-parallel identity |
-//! | E11 | `e11_shard` | intra-node sharded evaluation (analysis-gated) |
 //! | E12 | `e12_recovery` | durable recovery: replay cost vs history and checkpoint interval |
 //! | E13 | `e13_serve` | serving tier: standing subscriptions at scale over a loaded NameNode |
 //! | E14 | `e14_maint` | incremental view maintenance vs full recompute on heartbeat churn |

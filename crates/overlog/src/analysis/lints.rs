@@ -1,7 +1,7 @@
 //! The lint suite: checks beyond what load-time validation enforces.
 //!
 //! Errors here (E0009..E0011) are genuine bugs that the evaluator happens
-//! to tolerate or only trips over at runtime; warnings (W0001..W0009) are
+//! to tolerate or only trips over at runtime; warnings (W0001..W0011) are
 //! strong hints of dead or mistyped program structure. See the code table
 //! in [`super`]. Type errors (E0012/E0013) live in [`super::types`], where
 //! whole-program inference gives them sharper verdicts than a per-rule
@@ -10,7 +10,6 @@
 use super::card::CostModel;
 use super::kernel::KernelReport;
 use super::maint::{MaintReport, MaintVerdict};
-use super::shard::{ShardReport, ShardVerdict};
 use super::{Diagnostic, ProgramContext};
 use crate::ast::{BodyElem, Expr, HeadArg, Rule, Span, TableDecl, TableKind};
 use crate::value::TypeTag;
@@ -21,8 +20,8 @@ use std::collections::{HashMap, HashSet};
 const NON_DETERMINISTIC: [&str; 2] = ["newid", "qid"];
 
 /// Estimated total body rows at or above which a rule counts as *hot* for
-/// the shardability lint (W0008): below this, sharding would not pay off
-/// anyway and the rewrite suggestion is noise.
+/// the W0010/W0011 lints: below this, the rewrite they suggest would not
+/// pay off anyway and the suggestion is noise.
 const HOT_BODY_ROWS: f64 = 48.0;
 
 /// Run every lint over the context, appending to `out`. `rule_ok[i]` tells
@@ -32,7 +31,6 @@ pub(super) fn run(
     ctx: &ProgramContext,
     rule_ok: &[bool],
     cost: &CostModel,
-    shard: &ShardReport,
     maint: &MaintReport,
     kernel: &KernelReport,
     out: &mut Vec<Diagnostic>,
@@ -67,8 +65,6 @@ pub(super) fn run(
     unconsumed_timers(ctx, out);
     stale_watches(ctx, out);
     dead_columns(ctx, rule_ok, out);
-    hot_unshardable_rules(ctx, cost, shard, out);
-    serialized_watches(ctx, rule_ok, cost, out);
     hot_full_recompute_views(ctx, cost, maint, out);
     hot_uncompiled_rules(ctx, cost, kernel, out);
 }
@@ -190,135 +186,6 @@ fn hot_full_recompute_views(
                  missing key column or split the join) so deletions maintain the \
                  view incrementally; see the maintenance verdicts in `olgcheck \
                  analyze`",
-            ),
-        );
-    }
-}
-
-/// W0009: a watched table — a standing subscription or monitor feed — whose
-/// deriving rule is *hard*-serial (stateful builtin, aggregate head: no
-/// join rewrite helps, unlike W0008) over a large body. The watch itself is
-/// cheap, but every delta that fires the rule re-runs it on the single
-/// serial lane, so the subscription silently pins the hot path to one
-/// core. Monitors generated by `boom-trace` (`count<*>` row-count views)
-/// and serving-tier queries (`srv_q*`) are the usual offenders.
-fn serialized_watches(
-    ctx: &ProgramContext,
-    rule_ok: &[bool],
-    cost: &CostModel,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (table, span) in &ctx.watches {
-        // Worst hard-serial deriving rule wins; one diagnostic per watch.
-        let mut worst: Option<(f64, String, String)> = None;
-        for (i, rule) in ctx.rules.iter().enumerate() {
-            if !rule_ok[i] || rule.head.table != *table {
-                continue;
-            }
-            let Some(reason) = super::shard::hard_serial_reason(rule) else {
-                continue;
-            };
-            let heat: f64 = rule
-                .positive_predicates()
-                .map(|p| cost.table_rows(&p.table))
-                .sum();
-            if heat < HOT_BODY_ROWS {
-                continue;
-            }
-            if worst.as_ref().is_none_or(|(h, _, _)| heat > *h) {
-                worst = Some((heat, rule.label(i), reason));
-            }
-        }
-        if let Some((heat, label, reason)) = worst {
-            out.push(
-                Diagnostic::warning(
-                    "W0009",
-                    *span,
-                    format!(
-                        "`watch({table})` stands over hard-serial rule `{label}` \
-                         (~{heat:.0} body rows): {reason}",
-                    ),
-                )
-                .with_help(
-                    "every delta feeding this watch re-runs the rule on the serial \
-                     lane; subscribe to the underlying relation instead, or derive \
-                     the aggregate from a smaller pre-filtered table",
-                ),
-            );
-        }
-    }
-}
-
-/// W0008: a *hot* rule (large estimated body) whose every shard verdict is
-/// serial solely because a join attribute is not a function of the delta's
-/// key columns. Such rules are one head-key or join-key rewrite away from
-/// hash-distributing, which is exactly the kind of scalability bug the
-/// declarative style is supposed to make visible.
-fn hot_unshardable_rules(
-    ctx: &ProgramContext,
-    cost: &CostModel,
-    shard: &ShardReport,
-    out: &mut Vec<Diagnostic>,
-) {
-    for (rule, entry) in ctx.rules.iter().zip(&shard.rules) {
-        if entry.variants.is_empty() {
-            continue;
-        }
-        // A directly recursive join (transitive closure and friends)
-        // re-shuffles by nature — each variant binds only one side of the
-        // recursive key — and no local rewrite removes the cross-shard
-        // probe, so the lint's suggestion would be wrong there.
-        if rule
-            .positive_predicates()
-            .any(|p| p.table == rule.head.table)
-        {
-            continue;
-        }
-        let heat: f64 = rule
-            .positive_predicates()
-            .map(|p| cost.table_rows(&p.table))
-            .sum();
-        if heat < HOT_BODY_ROWS {
-            continue;
-        }
-        // A rule that can never shard regardless of variant (stateful
-        // builtin, aggregate head) is not the lint's business: no join
-        // rewrite would help.
-        if super::shard::hard_serial_reason(rule).is_some() {
-            continue;
-        }
-        // Fire only when the rule gets *zero* parallelism (no variant
-        // shards or broadcasts) and at least one variant is blocked by a
-        // non-key join attribute — the case one key rewrite fixes.
-        if entry
-            .variants
-            .iter()
-            .any(|(_, v)| !matches!(v, ShardVerdict::Serial { .. }))
-        {
-            continue;
-        }
-        let Some(reason) = entry.variants.iter().find_map(|(_, v)| match v {
-            ShardVerdict::Serial {
-                reason,
-                nonkey: true,
-            } => Some(reason.as_str()),
-            _ => None,
-        }) else {
-            continue;
-        };
-        out.push(
-            Diagnostic::warning(
-                "W0008",
-                rule.span,
-                format!(
-                    "hot rule `{}` (~{heat:.0} body rows) cannot shard: {reason}",
-                    entry.label
-                ),
-            )
-            .with_help(
-                "restructure the join so every probed key column is computed from \
-                 the delta row (or shrink the probed table below the broadcast \
-                 threshold); see `olgcheck analyze` for the per-variant verdicts",
             ),
         );
     }
@@ -898,94 +765,6 @@ mod tests {
             Vec::<&str>::new(),
             "addr column routes messages"
         );
-    }
-
-    #[test]
-    fn hot_nonkey_join_is_w0008() {
-        // `idx` is derived by five rules (~160 estimated rows): hot and too
-        // big to broadcast. Probing it on the *non-key* delta column blocks
-        // sharding — exactly the rewrite W0008 suggests.
-        let src = "event e, {Int, Int};
-                   event f, {Int, Int};
-                   define(idx, keys(0), {Int, Int});
-                   define(out, keys(0), {Int, Int});
-                   idx(X, Y) :- e(X, Y); idx(Y, X) :- e(X, Y);
-                   idx(X, Y) :- f(X, Y); idx(Y, X) :- f(X, Y);
-                   idx(X, X) :- f(X, _);
-                   out(X, Z) :- e(X, Y), idx(Y, Z), Z > X;";
-        assert!(codes(src).contains(&"W0008"), "{:?}", codes(src));
-        // Probing on the key column co-partitions: no lint.
-        let good = src.replace("idx(Y, Z), Z > X", "idx(X, Z), Z > X");
-        assert!(!codes(&good).contains(&"W0008"), "{:?}", codes(&good));
-    }
-
-    #[test]
-    fn stateful_builtin_rules_are_not_w0008() {
-        // Hot, unshardable — but pinned by `newid()`, not by a join key;
-        // no rewrite would help, so the lint stays quiet.
-        let src = "event e, {Int, Int};
-                   event f, {Int, Int};
-                   define(idx, keys(0), {Int, Int});
-                   event out, {Int, String};
-                   idx(X, Y) :- e(X, Y); idx(Y, X) :- e(X, Y);
-                   idx(X, Y) :- f(X, Y); idx(Y, X) :- f(X, Y);
-                   idx(X, X) :- f(X, _);
-                   out(Y, I) :- e(X, Y), idx(Y, _), I := newid();";
-        assert!(!codes(src).contains(&"W0008"), "{:?}", codes(src));
-    }
-
-    #[test]
-    fn watched_hard_serial_aggregate_over_hot_body_is_w0009() {
-        // `idx` is derived by five rules (~160 estimated rows). A watched
-        // count<*> view over it — the shape every generated monitor and
-        // serving-tier aggregate subscription takes — runs on the serial
-        // lane for every delta: exactly what W0009 flags.
-        let src = "event e, {Int, Int};
-                   event f, {Int, Int};
-                   define(idx, keys(0), {Int, Int});
-                   define(total, keys(0), {Int, Int});
-                   idx(X, Y) :- e(X, Y); idx(Y, X) :- e(X, Y);
-                   idx(X, Y) :- f(X, Y); idx(Y, X) :- f(X, Y);
-                   idx(X, X) :- f(X, _);
-                   total(X, count<Y>) :- idx(X, Y);
-                   watch(total);";
-        assert!(codes(src).contains(&"W0009"), "{:?}", codes(src));
-        // Same program, watch removed: the serial rule alone is fine.
-        let unwatched = src.replace("watch(total);", "");
-        assert!(
-            !codes(&unwatched).contains(&"W0009"),
-            "{:?}",
-            codes(&unwatched)
-        );
-    }
-
-    #[test]
-    fn watched_aggregate_over_small_body_is_not_w0009() {
-        // One deriving rule → tiny estimated body: serial, but too cold to
-        // matter.
-        let src = "event e, {Int, Int};
-                   define(idx, keys(0), {Int, Int});
-                   define(total, keys(0), {Int, Int});
-                   idx(X, Y) :- e(X, Y);
-                   total(X, count<Y>) :- idx(X, Y);
-                   watch(total);";
-        assert!(!codes(src).contains(&"W0009"), "{:?}", codes(src));
-    }
-
-    #[test]
-    fn watched_shardable_view_over_hot_body_is_not_w0009() {
-        // Hot, watched — but the deriving rule hash-distributes; nothing
-        // serializes, so no lint.
-        let src = "event e, {Int, Int};
-                   event f, {Int, Int};
-                   define(idx, keys(0), {Int, Int});
-                   define(view, keys(0), {Int, Int});
-                   idx(X, Y) :- e(X, Y); idx(Y, X) :- e(X, Y);
-                   idx(X, Y) :- f(X, Y); idx(Y, X) :- f(X, Y);
-                   idx(X, X) :- f(X, _);
-                   view(X, Y) :- idx(X, Y), Y > 0;
-                   watch(view);";
-        assert!(!codes(src).contains(&"W0009"), "{:?}", codes(src));
     }
 
     #[test]

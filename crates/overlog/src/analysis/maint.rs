@@ -150,8 +150,7 @@ fn placement_cols(decls: &HashMap<String, TableDecl>, table: &str, arity: usize)
 /// Is head column `c` a constant or a verbatim column of `pred`'s row?
 /// (Only verbatim bindings are *invertible* — the runtime must go from a
 /// head key back to the matching source rows via an index probe, so pure
-/// computed functions of delta columns do not qualify here, unlike in the
-/// shard pass.)
+/// computed functions of delta columns do not qualify here.)
 fn head_col_bound(rule: &Rule, c: usize, pred: &Predicate) -> bool {
     match rule.head.args.get(c) {
         Some(HeadArg::Expr(Expr::Lit(_))) => true,
@@ -173,7 +172,7 @@ fn full(code: &'static str, reason: impl Into<String>, fixable: bool) -> MaintVe
 
 /// Judge one semi-naive variant of a view rule: which maintenance
 /// algorithm is sound when the delta arrives through positive predicate
-/// `delta_pred`? Unlike the shard pass this is order-independent — the
+/// `delta_pred`? The verdict is order-independent — the
 /// judgement depends only on what a delta row determines, not on the
 /// schedule the planner runs.
 pub fn variant_verdict(
@@ -182,7 +181,7 @@ pub fn variant_verdict(
     decls: &HashMap<String, TableDecl>,
     facts: &ProgramFacts,
 ) -> MaintVerdict {
-    if let Some(fname) = super::shard::impure_call(rule) {
+    if let Some(fname) = crate::builtins::impure_call(rule) {
         return full(
             "impure-builtin",
             format!("calls stateful builtin `{fname}()`; re-derivation would mint fresh values"),
@@ -388,7 +387,7 @@ fn dred_certify(
     }
     for &(i, rule) in rules {
         let label = rule.label(i);
-        if let Some(fname) = super::shard::impure_call(rule) {
+        if let Some(fname) = crate::builtins::impure_call(rule) {
             return Err(format!("rule `{label}` calls stateful builtin `{fname}()`"));
         }
         if rule.is_aggregate() {
@@ -726,8 +725,7 @@ pub struct DredRule {
     pub recursive: Vec<usize>,
 }
 
-/// Per-plan maintenance strategies, built by the planner alongside the
-/// shard plan.
+/// Per-plan maintenance strategies, built by the planner.
 #[derive(Debug, Clone, Default)]
 pub struct MaintPlan {
     /// `verdicts[rule_id][variant_index]`; empty for non-view rules.
@@ -847,7 +845,7 @@ pub fn view_strategies(
         // Statefulness anywhere in the deriving set disqualifies the view.
         if rids
             .iter()
-            .any(|&rid| super::shard::impure_call(&rules[rid]).is_some())
+            .any(|&rid| crate::builtins::impure_call(&rules[rid]).is_some())
         {
             continue;
         }

@@ -33,16 +33,16 @@
 //! | W0005 | timer ticks are never consumed |
 //! | W0006 | `watch` on a table nothing fills (stale monitoring rule) |
 //! | W0007 | dead column: only ever matched as `_`, its value never read |
-//! | W0008 | hot rule shard-unsafe only because of a non-key join attribute |
-//! | W0009 | watched table fed by a hard-serial rule over a hot body |
+//! | W0008 | retired with intra-node parallel evaluation (DESIGN.md §14); not reused |
+//! | W0009 | retired with intra-node parallel evaluation (DESIGN.md §14); not reused |
 //! | W0010 | hot view recomputes wholesale for a fixable reason |
 //! | W0011 | hot rule falls off the compiled-kernel path for a fixable reason |
 //!
 //! Beyond diagnostics, [`report`] runs the semantic passes — monotonicity
 //! / CALM classification ([`mono`]), whole-program type inference
-//! ([`types`]), cardinality estimation ([`card`]) and shard safety
-//! ([`shard`]) — whose results feed the planner and the `olgcheck
-//! analyze` subcommand.
+//! ([`types`]), cardinality estimation ([`card`]), maintenance strategy
+//! ([`maint`]) and kernel specialization ([`kernel`]) — whose results
+//! feed the planner and the `olgcheck analyze` subcommand.
 
 pub mod card;
 pub mod diag;
@@ -52,7 +52,6 @@ mod lints;
 pub mod maint;
 pub mod mono;
 pub mod safety;
-pub mod shard;
 pub mod stratify;
 pub mod types;
 
@@ -496,8 +495,6 @@ pub struct AnalysisReport {
     pub mono: mono::MonoReport,
     /// Cardinality and selectivity estimates.
     pub cost: card::CostModel,
-    /// Per-rule, per-variant shard-safety verdicts.
-    pub shard: shard::ShardReport,
     /// Per-view-rule, per-variant maintenance-strategy verdicts.
     pub maint: maint::MaintReport,
     /// Per-rule, per-variant kernel-specialization verdicts.
@@ -517,8 +514,6 @@ impl AnalysisReport {
             s.push_str(&format!("  {table}: {rows:.0}\n"));
         }
         s.push('\n');
-        s.push_str(&shard::render(&self.shard));
-        s.push('\n');
         s.push_str(&maint::render(&self.maint));
         s.push('\n');
         s.push_str(&kernel::render(&self.kernel));
@@ -532,11 +527,10 @@ impl AnalysisReport {
 pub fn report(ctx: &ProgramContext) -> AnalysisReport {
     let (mut out, rule_ok) = error_pass(ctx);
     let cost = card::CostModel::from_context(ctx);
-    let shard = shard::analyze(ctx, &rule_ok, &cost);
     let maint = maint::analyze(ctx, &rule_ok);
     let catalog = types::infer(ctx, &rule_ok);
     let kernel = kernel::analyze(ctx, &rule_ok, &catalog);
-    lints::run(ctx, &rule_ok, &cost, &shard, &maint, &kernel, &mut out);
+    lints::run(ctx, &rule_ok, &cost, &maint, &kernel, &mut out);
     types::check(ctx, &rule_ok, &catalog, &mut out);
     out.sort_by_key(|d| (d.span.start, d.code, d.message.clone()));
     let mono = mono::analyze_mono(ctx, &rule_ok);
@@ -546,7 +540,6 @@ pub fn report(ctx: &ProgramContext) -> AnalysisReport {
         catalog,
         mono,
         cost,
-        shard,
         maint,
         kernel,
     }

@@ -6,6 +6,7 @@
 //! manipulation for path handling, stable hashing for partitioning, list
 //! helpers for chunk sets).
 
+use crate::ast::{BodyElem, Expr, HeadArg, Rule};
 use crate::error::{OverlogError, Result};
 use crate::value::Value;
 use std::collections::HashMap;
@@ -15,11 +16,11 @@ use std::sync::Arc;
 pub type BuiltinFn = Arc<dyn Fn(&[Value]) -> Result<Value> + Send + Sync>;
 
 /// The names of the standard library: pure functions of their arguments
-/// with no hidden state. Both the planner and the shard-safety analysis
-/// consult this list — a pure call may be reordered across joins and
-/// evaluated concurrently, while a host-registered builtin (paxos's
-/// `qid()` draws from a counter) may be stateful and pins its rule to
-/// the serial, source-order schedule.
+/// with no hidden state. The planner and the maintenance analysis consult
+/// this list — a pure call may be reordered across joins and re-evaluated
+/// during maintenance, while a host-registered builtin (paxos's `qid()`
+/// draws from a counter) may be stateful and pins its rule to the
+/// source-order schedule.
 pub const PURE_BUILTINS: &[&str] = &[
     "tostr",
     "toint",
@@ -42,6 +43,60 @@ pub const PURE_BUILTINS: &[&str] = &[
     "pick",
     "ifelse",
 ];
+
+/// Is every builtin call of the expression in the pure standard library?
+pub fn expr_reorderable(e: &Expr) -> bool {
+    match e {
+        Expr::Lit(_) | Expr::Var(_) | Expr::Wildcard => true,
+        Expr::Binary(_, a, b) => expr_reorderable(a) && expr_reorderable(b),
+        Expr::Unary(_, a) => expr_reorderable(a),
+        Expr::Call(f, args) => {
+            PURE_BUILTINS.contains(&f.as_str()) && args.iter().all(expr_reorderable)
+        }
+        Expr::ListLit(items) => items.iter().all(expr_reorderable),
+    }
+}
+
+/// May the planner reorder this rule's body? Only when every body
+/// expression calls pure builtins exclusively (a stateful builtin like
+/// `qid()` must not change how often or in what order it runs).
+pub fn rule_reorderable(rule: &Rule) -> bool {
+    rule.body.iter().all(|b| match b {
+        BodyElem::Pred(p) => p.args.iter().all(expr_reorderable),
+        BodyElem::Cond(e) | BodyElem::Assign(_, e) => expr_reorderable(e),
+    })
+}
+
+/// The first call to a builtin outside the pure standard library anywhere
+/// in the rule (head included — head expressions run once per derived row
+/// too), or `None` for a fully pure rule.
+pub(crate) fn impure_call(rule: &Rule) -> Option<String> {
+    fn find(e: &Expr) -> Option<String> {
+        match e {
+            Expr::Call(f, args) => {
+                if !PURE_BUILTINS.contains(&f.as_str()) {
+                    return Some(f.clone());
+                }
+                args.iter().find_map(find)
+            }
+            Expr::Binary(_, a, b) => find(a).or_else(|| find(b)),
+            Expr::Unary(_, a) => find(a),
+            Expr::ListLit(items) => items.iter().find_map(find),
+            Expr::Lit(_) | Expr::Var(_) | Expr::Wildcard => None,
+        }
+    }
+    for arg in &rule.head.args {
+        if let HeadArg::Expr(e) = arg {
+            if let Some(f) = find(e) {
+                return Some(f);
+            }
+        }
+    }
+    rule.body.iter().find_map(|b| match b {
+        BodyElem::Pred(p) => p.args.iter().find_map(find),
+        BodyElem::Cond(e) | BodyElem::Assign(_, e) => find(e),
+    })
+}
 
 /// A name → function map with the standard library pre-registered.
 #[derive(Clone)]

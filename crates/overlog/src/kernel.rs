@@ -24,8 +24,8 @@
 //! byte-identical state fingerprints.
 //!
 //! The per-variant [`KernelVerdict`] feeds `olgcheck analyze` (the
-//! `kernel` report section) and the W0011 lint, mirroring how shard and
-//! maintenance verdicts flow out of the planner.
+//! `kernel` report section) and the W0011 lint, mirroring how maintenance
+//! verdicts flow out of the planner.
 
 use std::fmt;
 
@@ -181,8 +181,7 @@ impl fmt::Display for KernelVerdict {
 }
 
 /// Per-variant kernel verdicts, aligned with `Plan::rules` (outer) and
-/// each rule's `variants` (inner) — the same shape as `ShardPlan` and
-/// `MaintPlan`.
+/// each rule's `variants` (inner) — the same shape as `MaintPlan`.
 #[derive(Debug, Clone, Default)]
 pub struct KernelPlan {
     pub verdicts: Vec<Vec<KernelVerdict>>,

@@ -61,7 +61,7 @@ pub use parser::parse_program;
 pub use plan::PlanOptions;
 pub use runtime::{
     is_observation_table, CommitOp, CommitRecord, EvalStats, NetTuple, OverlogRuntime, ProvRecord,
-    RuleStats, RuntimeSnapshot, ShardStats, TapRecord, TickResult, TraceDrain, TraceEvent, TraceOp,
+    RuleStats, RuntimeSnapshot, TapRecord, TickResult, TraceDrain, TraceEvent, TraceOp,
     OBSERVATION_PREFIXES,
 };
 pub use table::{Candidates, InsertOutcome, Table};

@@ -15,9 +15,9 @@
 
 use crate::analysis::card::CostModel;
 use crate::analysis::maint::{self, MaintPlan};
-use crate::analysis::shard::{self, rule_reorderable, ShardPlan};
 use crate::analysis::{self, mono, safety, RuleAnalysis};
 use crate::ast::*;
+use crate::builtins::rule_reorderable;
 use crate::error::Result;
 use crate::ids::{IdSet, TableId, TableIds};
 use crate::kernel;
@@ -202,13 +202,9 @@ pub struct PlanOptions {
     /// triggered by *insertions* into negated view inputs: growth can
     /// only grow them, and the incremental delta path already did.
     pub scoped_views: bool,
-    /// Evaluate shard-safe semi-naive variants over this many hash
-    /// partitions of the round's delta, on worker threads. `1` (the
-    /// default) keeps everything on the calling thread. Variants the
-    /// shard-safety analysis ([`crate::analysis::shard`]) marks serial
-    /// always stay serial regardless of this setting, and shard outputs
-    /// are merged back in delta order before any effect is applied, so
-    /// results are byte-identical at every shard count.
+    /// Vestigial and always 1: intra-node sharded evaluation was removed
+    /// (DESIGN.md §14). The field survives only because the stack
+    /// benchmark prints it; plan construction rejects any other value.
     pub shards: usize,
     /// Maintain views incrementally under retractions where the
     /// maintenance-strategy analysis ([`crate::analysis::maint`])
@@ -281,11 +277,6 @@ pub struct Plan {
     /// aggregation — provably monotonic (CALM), so growth of their inputs
     /// never retracts their tuples.
     pub monotonic_views: IdSet,
-    /// Per-rule, per-variant shard-safety verdicts (the
-    /// [`crate::analysis::shard`] pass, run against the exact execution
-    /// orders compiled below); the runtime consults this to decide which
-    /// variants may fan out across worker threads.
-    pub shard: ShardPlan,
     /// Per-view maintenance strategies and per-variant verdicts (the
     /// [`crate::analysis::maint`] pass); the runtime consults this to
     /// propagate retractions incrementally instead of recomputing.
@@ -320,6 +311,8 @@ pub fn compile(decls: &HashMap<String, TableDecl>, rules: &[Rule]) -> Result<Pla
 /// stable (the runtime's `Vec`-indexed storage depends on that), and any
 /// declared table not yet interned is added in sorted name order so
 /// standalone compilation is deterministic. The plan keeps a snapshot.
+///
+/// Panics if `options` sets the vestigial field to anything but 1.
 pub fn compile_with(
     decls: &HashMap<String, TableDecl>,
     rules: &[Rule],
@@ -327,6 +320,10 @@ pub fn compile_with(
     options: PlanOptions,
     ids: &mut TableIds,
 ) -> Result<Plan> {
+    assert_eq!(
+        options.shards, 1,
+        "PlanOptions::shards must be 1: sharded evaluation was removed (DESIGN.md §14)"
+    );
     {
         let mut names: Vec<&str> = decls.keys().map(String::as_str).collect();
         names.sort_unstable();
@@ -345,7 +342,6 @@ pub fn compile_with(
     };
     let mut compiled = Vec::with_capacity(rules.len());
     let mut classes = Vec::with_capacity(rules.len());
-    let mut shard_plan = ShardPlan::default();
     for (i, rule) in rules.iter().enumerate() {
         let mut ra = analysis::validate_rule(i, rule, decls)?;
         if options.reorder_joins && rule_reorderable(rule) {
@@ -359,9 +355,6 @@ pub fn compile_with(
                 }
             }
         }
-        shard_plan
-            .verdicts
-            .push(shard::rule_verdicts(rule, &ra.orders, decls, &cost));
         classes.push(ra.class);
         compiled.push(compile_rule(i, rule, &ra, ids));
     }
@@ -525,7 +518,6 @@ pub fn compile_with(
         neg_view_inputs,
         view_deps,
         monotonic_views,
-        shard: shard_plan,
         maint: maint_plan,
         kernel: kernel_plan,
         options,

@@ -162,27 +162,6 @@ pub struct RuleStats {
     pub kernel_evals: u64,
 }
 
-/// Per-shard slice of a rule's evaluation work under sharded evaluation
-/// (`PlanOptions::shards > 1`). Summing a rule's shards gives the portion
-/// of its [`RuleStats`] that went through the sharded path; rounds that
-/// fell back to serial (small delta, serial verdict, provenance on) are
-/// counted only in [`RuleStats`]. `delta_in`/`rows_out` are deterministic
-/// for a fixed program, input schedule and shard count; `eval_ns` is
-/// wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Delta rows hashed into this shard.
-    pub delta_in: u64,
-    /// Head rows this shard produced (before set-semantics dedup).
-    pub rows_out: u64,
-    /// Wall-clock nanoseconds the shard's worker spent evaluating.
-    pub eval_ns: u64,
-}
-
-/// Delta slices shorter than this evaluate serially even when a variant is
-/// shard-safe: the fan-out/merge overhead would exceed the join work.
-pub const SHARD_MIN_DELTA_ROWS: usize = 16;
-
 /// Tick-granularity evaluation counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
@@ -360,9 +339,6 @@ pub struct OverlogRuntime {
     prov_dropped: u64,
     budget: u64,
     rule_stats: Vec<RuleStats>,
-    /// Per-rule, per-shard counters for the sharded evaluation path
-    /// (`[rule][shard]`; empty unless `PlanOptions::shards > 1`).
-    shard_stats: Vec<Vec<ShardStats>>,
     eval_stats: EvalStats,
     tick_count: u64,
     now: u64,
@@ -593,7 +569,6 @@ impl OverlogRuntime {
             prov_dropped: 0,
             budget: 5_000_000,
             rule_stats: Vec::new(),
-            shard_stats: Vec::new(),
             eval_stats: EvalStats::default(),
             tick_count: 0,
             now: 0,
@@ -781,10 +756,6 @@ impl OverlogRuntime {
                 self.plan = Arc::new(p);
                 self.rule_stats
                     .resize(self.plan.rules.len(), RuleStats::default());
-                self.shard_stats.resize(
-                    self.plan.rules.len(),
-                    vec![ShardStats::default(); self.plan_opts.shards.max(1)],
-                );
                 self.build_indexes();
                 self.sources.push(src.to_string());
                 self.source_rule_spans
@@ -803,7 +774,7 @@ impl OverlogRuntime {
     }
 
     /// Remove the most recent load of `src`: its rules leave the plan (and
-    /// their [`RuleStats`]/[`ShardStats`] slots go with them — rule ids are
+    /// their [`RuleStats`] slots go with them — rule ids are
     /// dense indexes, so surviving rules' counters shift down in lockstep
     /// with their new ids, never pointing at a removed rule's numbers).
     /// This is the uninstall half of dynamic metaprogramming: monitors and
@@ -831,15 +802,8 @@ impl OverlogRuntime {
                 if start + len <= self.rule_stats.len() {
                     self.rule_stats.drain(start..start + len);
                 }
-                if start + len <= self.shard_stats.len() {
-                    self.shard_stats.drain(start..start + len);
-                }
                 self.rule_stats
                     .resize(self.plan.rules.len(), RuleStats::default());
-                self.shard_stats.resize(
-                    self.plan.rules.len(),
-                    vec![ShardStats::default(); self.plan_opts.shards.max(1)],
-                );
                 self.sources.remove(i);
                 self.source_rule_spans.remove(i);
                 for span in &mut self.source_rule_spans[i..] {
@@ -964,15 +928,14 @@ impl OverlogRuntime {
     /// Set the analysis-driven planner options (see
     /// [`plan::PlanOptions`]) and recompile the plan. Table contents are
     /// untouched, so hosts can flip options mid-run to A/B the optimizer.
+    /// Panics on options that plan construction rejects (see
+    /// [`plan::compile_with`]).
     pub fn set_plan_options(&mut self, opts: plan::PlanOptions) {
         self.plan_opts = opts;
         let p = self.recompile().expect("loaded sources compiled before");
         self.plan = Arc::new(p);
         self.rule_stats
             .resize(self.plan.rules.len(), RuleStats::default());
-        // Shard counters are keyed by the new shard count: reset them.
-        self.shard_stats =
-            vec![vec![ShardStats::default(); self.plan_opts.shards.max(1)]; self.plan.rules.len()];
         self.build_indexes();
     }
 
@@ -1178,7 +1141,7 @@ impl OverlogRuntime {
             let rule = &plan.rules[rid];
             if !rule.is_view
                 || rule.aggregate
-                || analysis::shard::impure_call(&self.rule_sources[rid]).is_some()
+                || crate::builtins::impure_call(&self.rule_sources[rid]).is_some()
             {
                 continue;
             }
@@ -1234,23 +1197,6 @@ impl OverlogRuntime {
             .rules
             .iter()
             .map(|r| (r.label.clone(), self.rule_stats[r.id]))
-            .collect()
-    }
-
-    /// Per-rule, per-shard profiler counters, labeled (see
-    /// [`ShardStats`]). Every rule reports `PlanOptions::shards.max(1)`
-    /// entries; rules that never took the sharded path report zeros.
-    pub fn shard_stats(&self) -> Vec<(String, Vec<ShardStats>)> {
-        self.plan
-            .rules
-            .iter()
-            .map(|r| {
-                let per =
-                    self.shard_stats.get(r.id).cloned().unwrap_or_else(|| {
-                        vec![ShardStats::default(); self.plan_opts.shards.max(1)]
-                    });
-                (r.label.clone(), per)
-            })
             .collect()
     }
 
@@ -1786,29 +1732,8 @@ impl OverlogRuntime {
                         None => &ctx.added[dt][lo..hi],
                     };
                     let t0 = std::time::Instant::now();
-                    // Shard-safe variants with a large enough delta fan out
-                    // across worker threads; everything else (serial
-                    // verdicts, small deltas, provenance capture) takes the
-                    // ordinary serial call. Both paths produce byte-identical
-                    // outputs: the sharded path concatenates contiguous
-                    // delta-range results back in delta-log order before
-                    // dispatching.
-                    let (rows, sups) = if plan.options.shards > 1
-                        && delta.len() >= SHARD_MIN_DELTA_ROWS
-                        && !self.prov_on
-                        && plan.shard.shard_key(rid, vi).is_some()
-                    {
-                        let (rows, per_shard) =
-                            self.eval_variant_sharded(rule, variant, delta, plan.options.shards)?;
-                        for (slot, s) in self.shard_stats[rid].iter_mut().zip(&per_shard) {
-                            slot.delta_in += s.delta_in;
-                            slot.rows_out += s.rows_out;
-                            slot.eval_ns += s.eval_ns;
-                        }
-                        (rows, None)
-                    } else {
-                        self.eval_variant(rule, variant, Some(delta), &mut ctx.eval)?
-                    };
+                    let (rows, sups) =
+                        self.eval_variant(rule, variant, Some(delta), &mut ctx.eval)?;
                     if self.kernel_active(variant) {
                         self.rule_stats[rid].kernel_evals += 1;
                     }
@@ -2473,70 +2398,6 @@ impl OverlogRuntime {
         let coerced = t.coerce_probe(index_cols, probe_vals);
         let (cands, bucket) = t.candidates(index_cols, probe_vals);
         Ok((cands, bucket && !coerced))
-    }
-
-    /// Evaluate a shard-safe variant by splitting the delta slice into
-    /// contiguous ranges over `nshards` worker threads (see
-    /// [`crate::analysis::shard`]).
-    ///
-    /// The shard-safety pass certifies that the variant's per-delta-row
-    /// evaluations are independent (co-partitioned on the head key, or
-    /// closed under broadcasting the small probe relations) — which means
-    /// *any* assignment of delta rows to workers produces the same row
-    /// set. The shared-memory runtime picks the assignment that costs
-    /// nothing to undo: contiguous delta ranges, one [`Self::eval_variant`]
-    /// call per worker, concatenated back in range order. Because the
-    /// planner always schedules the delta scan outermost, serial
-    /// evaluation emits rows in delta-arrival order, so the concatenation
-    /// is byte-identical to the serial output at every shard count — and
-    /// dispatch (which stays serial; within-tick key overwrites are
-    /// last-writer-wins along that order) sees the same row sequence. A
-    /// distributed deployment would hash-partition on the verdict's key
-    /// instead; the verdict is what certifies both placements.
-    fn eval_variant_sharded(
-        &self,
-        rule: &CompiledRule,
-        variant: &Variant,
-        delta: &[Row],
-        nshards: usize,
-    ) -> Result<(Vec<Row>, Vec<ShardStats>)> {
-        let chunk = delta.len().div_ceil(nshards);
-        let eval_chunk = |slice: &[Row]| {
-            let t0 = std::time::Instant::now();
-            let mut scratch = EvalScratch::default();
-            let res = self
-                .eval_variant(rule, variant, Some(slice), &mut scratch)
-                .map(|(rows, _)| rows);
-            (res, slice.len(), t0.elapsed().as_nanos() as u64)
-        };
-        // Shard 0 runs on the calling thread, overlapping the spawned
-        // workers — one fewer thread spawn per call, which is most of the
-        // fan-out overhead at small deltas.
-        let results: Vec<(Result<Vec<Row>>, usize, u64)> = std::thread::scope(|scope| {
-            let mut chunks = delta.chunks(chunk);
-            let first = chunks.next().expect("delta is non-empty");
-            let handles: Vec<_> = chunks
-                .map(|slice| scope.spawn(move || eval_chunk(slice)))
-                .collect();
-            let mut out = vec![eval_chunk(first)];
-            out.extend(
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("shard worker panicked")),
-            );
-            out
-        });
-        // Errors surface in range order so failure reporting is stable.
-        let mut stats = vec![ShardStats::default(); nshards];
-        let mut rows = Vec::new();
-        for (si, (res, delta_in, ns)) in results.into_iter().enumerate() {
-            let mut r = res?;
-            stats[si].delta_in += delta_in as u64;
-            stats[si].rows_out += r.len() as u64;
-            stats[si].eval_ns += ns;
-            rows.append(&mut r);
-        }
-        Ok((rows, stats))
     }
 
     /// Recursive nested-loop execution of a scheduled op sequence.

@@ -450,12 +450,6 @@ impl Table {
         };
         Some(bucket.map(|b| b.as_slice()).unwrap_or(&[]))
     }
-
-    /// Snapshot the table into its typed columnar representation, one
-    /// column per declared attribute, rows in storage (`scan`) order.
-    pub fn columnar(&self) -> ColumnStore {
-        ColumnStore::from_row_iter(self.def.arity(), self.rows.values())
-    }
 }
 
 /// The all-`int` index key of `row` over `cols`, or `None` when some key
@@ -486,11 +480,11 @@ fn bucket_remove<K: std::hash::Hash + Eq + Clone>(
 // Columnar representation
 // ---------------------------------------------------------------------------
 
-/// One typed column of a [`ColumnStore`]: a dense `i64` vector when every
+/// One typed column of a delta slice: a dense `i64` vector when every
 /// value is an integer, dictionary-interned `u32` codes when every value
 /// is a string, and a tagged-`Value` vector otherwise. The typed layouts
-/// are what lets the kernels' vectorized gates compare machine words
-/// instead of tagged values.
+/// are what lets the vectorized delta gates ([`Column::group`]) hash
+/// machine words instead of tagged values.
 #[derive(Debug, Clone)]
 pub enum Column {
     /// Every value is `Value::Int`.
@@ -531,29 +525,6 @@ impl Column {
             return Column::Str { codes, dict };
         }
         Column::Val(vals)
-    }
-
-    /// Number of values in the column.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Int(xs) => xs.len(),
-            Column::Str { codes, .. } => codes.len(),
-            Column::Val(vs) => vs.len(),
-        }
-    }
-
-    /// True when the column holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize the value at row `i`.
-    pub fn get(&self, i: usize) -> Value {
-        match self {
-            Column::Int(xs) => Value::Int(xs[i]),
-            Column::Str { codes, dict } => Value::Str(dict[codes[i] as usize].clone()),
-            Column::Val(vs) => vs[i].clone(),
-        }
     }
 
     /// Group the column into a value → row-indices map for O(1) gate
@@ -623,89 +594,6 @@ impl ColGroup {
             // Nothing cross-compares equal to Str (Addr is a distinct rank).
             (ColGroup::Str(_), _) => Some(&EMPTY_SEL),
             (ColGroup::Val(m), _) => Some(m.get(v).map(|b| b.as_slice()).unwrap_or(&EMPTY_SEL)),
-        }
-    }
-}
-
-/// A typed columnar snapshot of a row set: one [`Column`] per attribute,
-/// all the same length, rows addressable by index. Built alongside the
-/// row store (never replacing it — the row store's iteration order is
-/// part of the engine's observable emission order).
-#[derive(Debug, Clone)]
-pub struct ColumnStore {
-    cols: Vec<Column>,
-    len: usize,
-}
-
-impl ColumnStore {
-    /// Build from a row slice.
-    pub fn from_rows(arity: usize, rows: &[Row]) -> ColumnStore {
-        ColumnStore {
-            cols: (0..arity).map(|c| Column::from_rows(rows, c)).collect(),
-            len: rows.len(),
-        }
-    }
-
-    /// Build from a row iterator (e.g. a table's storage order).
-    pub fn from_row_iter<'a>(arity: usize, rows: impl Iterator<Item = &'a Row>) -> ColumnStore {
-        let rows: Vec<Row> = rows.cloned().collect();
-        ColumnStore::from_rows(arity, &rows)
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The column for attribute `c`.
-    pub fn col(&self, c: usize) -> &Column {
-        &self.cols[c]
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Materialize every row back out, in store order (the round-trip
-    /// inverse of [`ColumnStore::from_rows`]).
-    pub fn to_rows(&self) -> Vec<Row> {
-        (0..self.len)
-            .map(|i| Arc::new(self.cols.iter().map(|c| c.get(i)).collect::<Vec<_>>()))
-            .collect()
-    }
-
-    /// Row indices where column `c` equals `v`, in row order — a
-    /// vectorized selection scan (tight `i64`/code loops on typed
-    /// columns, `Value` comparison on the fallback layout).
-    pub fn select_eq(&self, c: usize, v: &Value) -> Vec<u32> {
-        match (&self.cols[c], v) {
-            (Column::Int(xs), Value::Int(p)) => xs
-                .iter()
-                .enumerate()
-                .filter(|(_, x)| *x == p)
-                .map(|(i, _)| i as u32)
-                .collect(),
-            (Column::Str { codes, dict }, Value::Str(p)) => {
-                match dict.iter().position(|s| **s == **p) {
-                    Some(code) => codes
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| **c == code as u32)
-                        .map(|(i, _)| i as u32)
-                        .collect(),
-                    None => Vec::new(),
-                }
-            }
-            (col, _) => (0..col.len())
-                .filter(|&i| col.get(i) == *v)
-                .map(|i| i as u32)
-                .collect(),
         }
     }
 }
@@ -882,24 +770,13 @@ mod tests {
     }
 
     #[test]
-    fn columnar_layouts_and_round_trip() {
-        let rows: Vec<Row> = vec![tuple!(1, "a"), tuple!(2, "b"), tuple!(3, "a")];
-        let cs = ColumnStore::from_rows(2, &rows);
-        assert!(matches!(cs.col(0), Column::Int(_)));
-        assert!(matches!(cs.col(1), Column::Str { .. }));
-        assert_eq!(cs.to_rows(), rows);
-        // Mixed column falls back to the tagged layout.
-        let mixed: Vec<Row> = vec![tuple!(1, "a"), Arc::new(vec![Value::Null, Value::str("b")])];
-        let cs = ColumnStore::from_rows(2, &mixed);
-        assert!(matches!(cs.col(0), Column::Val(_)));
-        assert_eq!(cs.to_rows(), mixed);
-    }
-
-    #[test]
     fn column_group_select_matches_value_equality() {
         let rows: Vec<Row> = vec![tuple!(1, "a"), tuple!(2, "b"), tuple!(1, "a")];
-        let cs = ColumnStore::from_rows(2, &rows);
-        let g0 = cs.col(0).group();
+        let c0 = Column::from_rows(&rows, 0);
+        let c1 = Column::from_rows(&rows, 1);
+        assert!(matches!(c0, Column::Int(_)));
+        assert!(matches!(c1, Column::Str { .. }));
+        let g0 = c0.group();
         assert_eq!(g0.select(&Value::Int(1)).unwrap(), &[0, 2]);
         assert_eq!(g0.select(&Value::Int(9)).unwrap(), &[] as &[u32]);
         assert_eq!(g0.select(&Value::str("x")).unwrap(), &[] as &[u32]);
@@ -907,15 +784,14 @@ mod tests {
             g0.select(&Value::Float(1.0)).is_none(),
             "float probe on int column must force the fallback scan"
         );
-        let g1 = cs.col(1).group();
+        let g1 = c1.group();
         assert_eq!(g1.select(&Value::str("a")).unwrap(), &[0, 2]);
         assert_eq!(g1.select(&Value::addr("a")).unwrap(), &[] as &[u32]);
-        // Mixed columns answer every probe via Value hash/eq.
-        let gv = Column::from_values(vec![Value::Int(2), Value::str("a")]).group();
+        // Mixed columns fall back to the tagged layout and answer every
+        // probe via Value hash/eq.
+        let mixed = Column::from_values(vec![Value::Int(2), Value::str("a")]);
+        assert!(matches!(mixed, Column::Val(_)));
+        let gv = mixed.group();
         assert_eq!(gv.select(&Value::Float(2.0)).unwrap(), &[0]);
-        // select_eq agrees with group().select on typed columns.
-        assert_eq!(cs.select_eq(0, &Value::Int(1)), vec![0, 2]);
-        assert_eq!(cs.select_eq(1, &Value::str("b")), vec![1]);
-        assert_eq!(cs.select_eq(0, &Value::Float(1.0)), vec![0, 2]);
     }
 }

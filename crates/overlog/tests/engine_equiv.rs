@@ -1,19 +1,17 @@
 //! Cross-engine equivalence: the same program and input schedule must
 //! materialize byte-identical state under every execution configuration
 //! — compiled kernels on or off (`PlanOptions::kernels`, the
-//! `BOOM_KERNELS=0` fallback), serial or sharded evaluation, maintained
-//! or recomputed views. The kernel compiler, the shard scheduler and the
-//! maintenance planner are all *cost* decisions; these tests are the
-//! randomized gate that none of them ever becomes a *semantics*
-//! decision. Also home to the columnar round-trip property: the typed
-//! column layouts the kernels vectorize over must reproduce the row
-//! store exactly.
+//! `BOOM_KERNELS=0` fallback), maintained or recomputed views. The
+//! kernel compiler and the maintenance planner are both *cost*
+//! decisions; these tests are the randomized gate that none of them ever
+//! becomes a *semantics* decision. Also home to the column-grouping
+//! property: the typed column layouts the delta gates vectorize over
+//! must select exactly the rows `Value` equality selects.
 
-use boom_overlog::table::{Column, ColumnStore};
+use boom_overlog::table::Column;
 use boom_overlog::value::row;
 use boom_overlog::{OverlogRuntime, PlanOptions, Value};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// A program crossing every specialization tier: a typed int join
 /// (`over`: `i64` probes), a string-keyed join (`who`: generic `Value`
@@ -105,32 +103,27 @@ fn assert_configs_agree(schedule: &[(Op, bool)]) {
         schedule,
         PlanOptions {
             kernels: false,
-            shards: 1,
             maintenance: false,
             ..PlanOptions::default()
         },
     );
     for kernels in [false, true] {
-        for shards in [1, 3] {
-            for maintenance in [false, true] {
-                let got = drive(
-                    schedule,
-                    PlanOptions {
-                        kernels,
-                        shards,
-                        maintenance,
-                        ..PlanOptions::default()
-                    },
-                );
-                prop_assert_eq!(
-                    &got,
-                    &reference,
-                    "kernels={} shards={} maintenance={} diverged",
+        for maintenance in [false, true] {
+            let got = drive(
+                schedule,
+                PlanOptions {
                     kernels,
-                    shards,
-                    maintenance
-                );
-            }
+                    maintenance,
+                    ..PlanOptions::default()
+                },
+            );
+            prop_assert_eq!(
+                &got,
+                &reference,
+                "kernels={} maintenance={} diverged",
+                kernels,
+                maintenance
+            );
         }
     }
 }
@@ -203,31 +196,23 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A column rebuilt from any value mix returns exactly the values it
-    /// was built from, whichever layout (`Int` dense, `Str` dictionary,
-    /// `Val` fallback) it picked.
+    /// Grouping a column built from any value mix selects, for every
+    /// probe value, exactly the row indices `Value` equality selects,
+    /// whichever layout (`Int` dense, `Str` dictionary, `Val` fallback)
+    /// it picked. `None` (a float probe on an integer column) defers to
+    /// the caller's per-row scan, so it asserts nothing.
     #[test]
-    fn column_round_trips_values(vals in proptest::collection::vec(value_strategy(), 0..40)) {
-        let col = Column::from_values(vals.clone());
-        prop_assert_eq!(col.len(), vals.len());
-        for (i, v) in vals.iter().enumerate() {
-            prop_assert_eq!(&col.get(i), v);
-        }
-    }
-
-    /// A columnar snapshot of a row set materializes back to the same
-    /// rows in the same order.
-    #[test]
-    fn column_store_round_trips_rows(
-        raw in proptest::collection::vec(
-            (value_strategy(), value_strategy(), value_strategy()), 0..30)
+    fn column_group_selects_equal_values(
+        vals in proptest::collection::vec(value_strategy(), 0..40)
     ) {
-        let rows: Vec<boom_overlog::Row> = raw
-            .into_iter()
-            .map(|(a, b, c)| Arc::new(vec![a, b, c]))
-            .collect();
-        let store = ColumnStore::from_rows(3, &rows);
-        prop_assert_eq!(store.arity(), 3);
-        prop_assert_eq!(store.to_rows(), rows);
+        let group = Column::from_values(vals.clone()).group();
+        for v in &vals {
+            let want: Vec<u32> = (0..vals.len() as u32)
+                .filter(|&i| vals[i as usize] == *v)
+                .collect();
+            if let Some(got) = group.select(v) {
+                prop_assert_eq!(got, want.as_slice());
+            }
+        }
     }
 }

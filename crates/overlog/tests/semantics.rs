@@ -409,150 +409,6 @@ fn derivations_counted() {
     assert_eq!(fires[0].1, 1);
 }
 
-// ---------------------------------------------------------------------------
-// Sharded evaluation (`PlanOptions::shards > 1`): analysis-driven intra-node
-// parallelism must be observationally invisible — byte-identical state at
-// every shard count, including within-tick key-overwrite order.
-
-mod sharded {
-    use super::*;
-    use boom_overlog::{PlanOptions, ShardStats};
-
-    /// Canonical dump of every non-event table, sorted: two runtimes are
-    /// behaviorally identical iff these strings match.
-    fn dump(r: &OverlogRuntime) -> String {
-        let mut tables: Vec<String> = r.table_decls().map(|d| d.name.clone()).collect();
-        tables.sort();
-        let mut s = String::new();
-        for t in tables {
-            let table = r.table(&t).expect("declared");
-            if table.is_event() {
-                continue;
-            }
-            for row in table.sorted_rows() {
-                s.push_str(&format!("{t}{row:?}\n"));
-            }
-        }
-        s
-    }
-
-    const JOIN_SRC: &str = "event e, {Int, Int};
-                            define(idx, keys(0), {Int, Int});
-                            define(out, keys(0), {Int, Int});
-                            define(tally, keys(0, 1), {Int, Int});
-                            out(X, Y + Z) :- e(X, Y), idx(X, Z);
-                            tally(X, Y) :- e(X, Y), Y > 3;";
-
-    fn run_join(shards: usize, nrows: i64) -> (String, Vec<(String, Vec<ShardStats>)>) {
-        let mut r = rt(JOIN_SRC);
-        r.set_plan_options(PlanOptions {
-            shards,
-            ..Default::default()
-        });
-        for k in 0..8 {
-            r.insert("idx", row(vec![Value::Int(k), Value::Int(100 * k)]))
-                .unwrap();
-        }
-        r.tick(0).unwrap();
-        // One big batch (single delta) plus duplicate keys so the
-        // within-tick overwrite order is exercised: for each key the last
-        // delta row must win in `out`, at every shard count.
-        for i in 0..nrows {
-            r.insert("e", row(vec![Value::Int(i % 8), Value::Int(i)]))
-                .unwrap();
-        }
-        r.tick(1).unwrap();
-        r.settle(1).unwrap();
-        (dump(&r), r.shard_stats())
-    }
-
-    #[test]
-    fn sharded_join_matches_serial_at_every_shard_count() {
-        let (serial, _) = run_join(1, 64);
-        for shards in [2, 3, 4, 8] {
-            let (sharded, stats) = run_join(shards, 64);
-            assert_eq!(serial, sharded, "state diverged at shards={shards}");
-            // The co-partitioned join rule must actually have fanned out.
-            let join = stats.iter().find(|(l, _)| l.contains("out")).unwrap();
-            let total: u64 = join.1.iter().map(|s| s.delta_in).sum();
-            assert_eq!(total, 64, "join rule did not take the sharded path");
-            assert!(
-                join.1.iter().filter(|s| s.delta_in > 0).count() > 1,
-                "64 keys landed in one shard"
-            );
-        }
-    }
-
-    #[test]
-    fn small_deltas_stay_serial() {
-        // 8 delta rows < SHARD_MIN_DELTA_ROWS: the fan-out overhead gate
-        // keeps evaluation on the calling thread, counters stay zero.
-        let (_, stats) = run_join(4, 8);
-        for (label, per) in stats {
-            let total: u64 = per.iter().map(|s| s.delta_in).sum();
-            assert_eq!(total, 0, "rule `{label}` sharded a tiny delta");
-        }
-    }
-
-    #[test]
-    fn serial_verdict_rules_never_fan_out() {
-        // The head key column Z is join-bound (comes from the probed
-        // table, not the delta), so the analysis marks the rule serial and
-        // the runtime must not shard it no matter the delta size.
-        let mut r = rt("event e, {Int, Int};
-                        define(idx, keys(0), {Int, Int});
-                        define(out, keys(0), {Int, Int});
-                        out(Z, X) :- e(X, _), idx(X, Z);");
-        r.set_plan_options(PlanOptions {
-            shards: 4,
-            ..Default::default()
-        });
-        for k in 0..8 {
-            r.insert("idx", row(vec![Value::Int(k), Value::Int(500 + k)]))
-                .unwrap();
-        }
-        r.tick(0).unwrap();
-        for i in 0..64 {
-            r.insert("e", row(vec![Value::Int(i % 8), Value::Int(i)]))
-                .unwrap();
-        }
-        r.tick(1).unwrap();
-        r.settle(1).unwrap();
-        assert_eq!(r.count("out"), 8);
-        for (label, per) in r.shard_stats() {
-            let total: u64 = per.iter().map(|s| s.delta_in).sum();
-            assert_eq!(total, 0, "serial-verdict rule `{label}` fanned out");
-        }
-    }
-
-    #[test]
-    fn recursive_rules_shard_safely_or_not_at_all() {
-        // Transitive closure: both recursive variants are shard-unsafe
-        // (cross-shard probes), so every shard count must reproduce the
-        // serial fixpoint exactly.
-        let src = "define(link, keys(0,1), {Int, Int});
-                   define(path, keys(0,1), {Int, Int});
-                   path(X, Y) :- link(X, Y);
-                   path(X, Z) :- link(X, Y), path(Y, Z);";
-        let run = |shards: usize| {
-            let mut r = rt(src);
-            r.set_plan_options(PlanOptions {
-                shards,
-                ..Default::default()
-            });
-            for i in 0..40 {
-                r.insert("link", row(vec![Value::Int(i), Value::Int(i + 1)]))
-                    .unwrap();
-            }
-            r.tick(0).unwrap();
-            assert_eq!(r.count("path"), 40 * 41 / 2);
-            dump(&r)
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(4));
-    }
-}
-
 mod kernels {
     use super::*;
     use boom_overlog::PlanOptions;
@@ -633,12 +489,11 @@ mod kernels {
     }
 
     #[test]
-    fn kernels_compose_with_shards_and_maintenance() {
-        let run = |kernels: bool, shards: usize, maintenance: bool| {
+    fn kernels_compose_with_maintenance() {
+        let run = |kernels: bool, maintenance: bool| {
             let mut r = rt(SRC);
             r.set_plan_options(PlanOptions {
                 kernels,
-                shards,
                 maintenance,
                 ..Default::default()
             });
@@ -660,15 +515,13 @@ mod kernels {
             r.settle(1).unwrap();
             dump(&r)
         };
-        let reference = run(false, 1, false);
-        for shards in [1, 4] {
-            for maintenance in [false, true] {
-                assert_eq!(
-                    run(true, shards, maintenance),
-                    reference,
-                    "kernels diverged at shards={shards} maintenance={maintenance}"
-                );
-            }
+        let reference = run(false, false);
+        for maintenance in [false, true] {
+            assert_eq!(
+                run(true, maintenance),
+                reference,
+                "kernels diverged at maintenance={maintenance}"
+            );
         }
     }
 }

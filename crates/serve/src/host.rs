@@ -51,7 +51,8 @@ struct QueryState {
     source: String,
     /// `(client node, tag)` of every subscription fed by this view.
     subs: BTreeSet<(String, i64)>,
-    /// W0009-style analyzer warnings issued when the view was installed.
+    /// Analyzer warnings (W0010 full recompute, W0011 interpreted, …)
+    /// naming the view, counted when the view was installed.
     warnings: u64,
 }
 
@@ -229,8 +230,8 @@ impl ServeHost {
                 rt.remove_tap(&table);
                 return;
             }
-            // Surface analyzer warnings (W0009 serialized-watch et al.)
-            // that mention the generated view or its rule.
+            // Surface analyzer warnings (W0010, W0011 et al.) that
+            // mention the generated view or its rule.
             let warnings = rt
                 .check()
                 .iter()

@@ -98,8 +98,9 @@ impl SubscriptionSpec {
     }
 
     /// The Overlog source installed for this query, deriving into `table`.
-    /// The `watch` puts the view in the analyzer's watch list, which is
-    /// what the W0009 serialized-watch lint inspects.
+    /// The `watch` puts the view in the analyzer's watch list, so the
+    /// stale-watch lint (W0006) checks it and the dead-column lint
+    /// (W0007) treats its columns as read.
     pub fn view_source(&self, table: &str) -> String {
         format!(
             "define({table}, keys({}), {{{}}});\nwatch({table});\n{table}({}) :- {};\n",

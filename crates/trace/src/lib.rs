@@ -28,10 +28,7 @@ pub mod provenance;
 pub use chrome::{ChromeRecorder, ChromeTrace};
 pub use meta::{generate_monitor, install_monitor, uninstall_monitor, MonitorSpec};
 pub use metrics::{print_series, Registry, Samples};
-pub use profile::{
-    collect_rule_profile, collect_shard_profile, render_hot_rules, render_shard_profile,
-    ProfileRow, ShardProfileRow,
-};
+pub use profile::{collect_rule_profile, render_hot_rules, ProfileRow};
 pub use provenance::{render_tuple, DerivationNode, ProvStore};
 
 /// Escape a string for inclusion in a JSON string literal.

@@ -97,8 +97,8 @@ pub fn install_monitor(rt: &mut OverlogRuntime) -> Result<MonitorSpec> {
 }
 
 /// Remove a previously installed monitor: unload its generated rules
-/// (recompiling the program and dropping their now-stale `RuleStats` /
-/// `ShardStats` entries with them), drop its watches, and clear the
+/// (recompiling the program and dropping their now-stale `RuleStats`
+/// entries with them), drop its watches, and clear the
 /// generated row-count view. Returns `false` if the spec's source was not
 /// loaded (already uninstalled).
 ///

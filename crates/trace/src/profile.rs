@@ -1,10 +1,7 @@
 //! The rule-level profiler: roll the runtime's per-rule counters up into
-//! a hot-rules report that tells the next perf PR where to dig. When the
-//! engine runs sharded (`PlanOptions::shards > 1`), the per-shard
-//! counters are collected alongside so gains (or skew) are attributable
-//! per kernel rather than summed into one global number.
+//! a hot-rules report that tells the next perf PR where to dig.
 
-use boom_overlog::{OverlogRuntime, RuleStats, ShardStats};
+use boom_overlog::{OverlogRuntime, RuleStats};
 use std::collections::BTreeMap;
 
 /// One rule's counters on one simulator node.
@@ -28,116 +25,6 @@ pub fn collect_rule_profile(node: &str, rt: &OverlogRuntime) -> Vec<ProfileRow> 
             stats,
         })
         .collect()
-}
-
-/// One rule's per-shard counters on one simulator node.
-#[derive(Debug, Clone)]
-pub struct ShardProfileRow {
-    /// Simulator node the runtime belongs to.
-    pub node: String,
-    /// Rule label (name or positional `rule#i`).
-    pub rule: String,
-    /// One entry per shard (see [`ShardStats`]); all zeros for rules that
-    /// never took the sharded path.
-    pub shards: Vec<ShardStats>,
-}
-
-/// Snapshot one runtime's per-rule, per-shard counters.
-pub fn collect_shard_profile(node: &str, rt: &OverlogRuntime) -> Vec<ShardProfileRow> {
-    rt.shard_stats()
-        .into_iter()
-        .map(|(rule, shards)| ShardProfileRow {
-            node: node.to_string(),
-            rule,
-            shards,
-        })
-        .collect()
-}
-
-/// Sum per-shard counters by rule label across nodes (shard `i` on one
-/// node merges with shard `i` on every other), dropping rules whose
-/// counters are all zero. Sorted by total sharded delta descending, then
-/// label.
-pub fn merge_shards_by_rule(rows: &[ShardProfileRow]) -> Vec<(String, Vec<ShardStats>)> {
-    let mut by_rule: BTreeMap<&str, Vec<ShardStats>> = BTreeMap::new();
-    for r in rows {
-        let per = by_rule.entry(&r.rule).or_default();
-        if per.len() < r.shards.len() {
-            per.resize(r.shards.len(), ShardStats::default());
-        }
-        for (slot, s) in per.iter_mut().zip(&r.shards) {
-            slot.delta_in += s.delta_in;
-            slot.rows_out += s.rows_out;
-            slot.eval_ns += s.eval_ns;
-        }
-    }
-    let mut out: Vec<(String, Vec<ShardStats>)> = by_rule
-        .into_iter()
-        .filter(|(_, per)| per.iter().any(|s| s.delta_in > 0 || s.rows_out > 0))
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    out.sort_by(|a, b| {
-        let da: u64 = a.1.iter().map(|s| s.delta_in).sum();
-        let db: u64 = b.1.iter().map(|s| s.delta_in).sum();
-        (db, &a.0).cmp(&(da, &b.0))
-    });
-    out
-}
-
-/// Render the per-shard attribution as an aligned text table: one line
-/// per (rule, shard) with that shard's slice of the work, plus a skew
-/// column (shard delta ÷ ideal even split). `with_time` adds the
-/// wall-clock `eval_ms` column (non-deterministic; leave it off when
-/// output must be reproducible).
-pub fn render_shard_profile(rows: &[ShardProfileRow], with_time: bool) -> String {
-    let merged = merge_shards_by_rule(rows);
-    let mut out = String::new();
-    if merged.is_empty() {
-        out.push_str("no rule took the sharded path\n");
-        return out;
-    }
-    out.push_str(&format!(
-        "per-shard attribution ({} sharded rule(s))\n",
-        merged.len()
-    ));
-    if with_time {
-        out.push_str(&format!(
-            "{:>5}  {:>10}  {:>10}  {:>5}  {:>9}  rule\n",
-            "shard", "delta_in", "rows_out", "skew", "eval_ms"
-        ));
-    } else {
-        out.push_str(&format!(
-            "{:>5}  {:>10}  {:>10}  {:>5}  rule\n",
-            "shard", "delta_in", "rows_out", "skew"
-        ));
-    }
-    for (rule, per) in &merged {
-        let total: u64 = per.iter().map(|s| s.delta_in).sum();
-        let ideal = total as f64 / per.len() as f64;
-        for (si, s) in per.iter().enumerate() {
-            let skew = if ideal > 0.0 {
-                s.delta_in as f64 / ideal
-            } else {
-                0.0
-            };
-            if with_time {
-                out.push_str(&format!(
-                    "{:>5}  {:>10}  {:>10}  {:>5.2}  {:>9.3}  {rule}\n",
-                    si,
-                    s.delta_in,
-                    s.rows_out,
-                    skew,
-                    s.eval_ns as f64 / 1e6
-                ));
-            } else {
-                out.push_str(&format!(
-                    "{:>5}  {:>10}  {:>10}  {:>5.2}  {rule}\n",
-                    si, s.delta_in, s.rows_out, skew
-                ));
-            }
-        }
-    }
-    out
 }
 
 /// Sum rows by rule label across nodes, sorted by fires (then attempts,
@@ -259,51 +146,6 @@ mod tests {
         let ia = a.find(" a\n").unwrap();
         let ib = a.find(" b\n").unwrap();
         assert!(ia < ib, "{a}");
-    }
-
-    fn shard_row(node: &str, rule: &str, deltas: &[u64]) -> ShardProfileRow {
-        ShardProfileRow {
-            node: node.into(),
-            rule: rule.into(),
-            shards: deltas
-                .iter()
-                .map(|&d| ShardStats {
-                    delta_in: d,
-                    rows_out: d * 2,
-                    eval_ns: 500_000,
-                })
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn shard_merge_sums_shardwise_and_drops_idle_rules() {
-        let rows = vec![
-            shard_row("n1", "hot", &[10, 30]),
-            shard_row("n2", "hot", &[5, 5]),
-            shard_row("n1", "idle", &[0, 0]),
-        ];
-        let merged = merge_shards_by_rule(&rows);
-        assert_eq!(merged.len(), 1, "all-zero rules dropped");
-        assert_eq!(merged[0].0, "hot");
-        assert_eq!(merged[0].1[0].delta_in, 15);
-        assert_eq!(merged[0].1[1].delta_in, 35);
-        assert_eq!(merged[0].1[1].rows_out, 70);
-    }
-
-    #[test]
-    fn shard_report_shows_skew_deterministically() {
-        let rows = vec![shard_row("n1", "r", &[10, 30])];
-        let a = render_shard_profile(&rows, false);
-        assert_eq!(a, render_shard_profile(&rows, false));
-        assert!(!a.contains("eval_ms"), "{a}");
-        // 40 rows over 2 shards: ideal 20, so skews are 0.50 and 1.50.
-        assert!(a.contains(" 0.50"), "{a}");
-        assert!(a.contains(" 1.50"), "{a}");
-        assert_eq!(
-            render_shard_profile(&[], false),
-            "no rule took the sharded path\n"
-        );
     }
 
     #[test]

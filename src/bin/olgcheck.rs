@@ -16,13 +16,12 @@
 //!
 //! The `analyze` subcommand renders the semantic passes on top of the
 //! diagnostics: the monotonicity / CALM report with points of order, the
-//! whole-program typed catalog, cardinality estimates, the per-rule
-//! shard-safety verdicts (with the chosen shard key and broadcast sets),
-//! and the per-view-rule maintenance-strategy verdicts (how retractions
-//! propagate to each view). Under `--format json` the shard and
-//! maintenance verdicts ride along as `"shard"` and `"maintenance"`
-//! arrays per group; under `--format github` each rule also gets
-//! `::notice` annotations with its verdicts.
+//! whole-program typed catalog, cardinality estimates, the per-view-rule
+//! maintenance-strategy verdicts (how retractions propagate to each
+//! view) and the per-rule kernel verdicts. Under `--format json` the
+//! maintenance and kernel verdicts ride along as `"maintenance"` and
+//! `"kernel"` arrays per group; under `--format github` each rule also
+//! gets `::notice` annotations with its verdicts.
 //!
 //! Exit codes: `0` clean, `1` errors (or any finding under
 //! `--deny-warnings`), `2` usage error, `3` warnings only.
@@ -38,7 +37,7 @@ const USAGE: &str = "usage: olgcheck [check|analyze] [--deny-warnings] [--graph]
 
   check            diagnostics only (the default)
   analyze          also render monotonicity (CALM), typed catalog,
-                   cardinality, shard-safety and maintenance-strategy
+                   cardinality, maintenance-strategy and kernel
                    reports per group
   --deny-warnings  treat warnings as errors (exit 1)
   --graph          print the table-precedence graph as DOT and exit
@@ -204,10 +203,9 @@ fn report(
             }
         }
         Format::Json => {
-            let shard = if semantic {
+            let semantic_json = if semantic {
                 format!(
-                    ",\"shard\":{},\"maintenance\":{},\"kernel\":{}",
-                    analysis::shard::render_json(&rep.shard),
+                    ",\"maintenance\":{},\"kernel\":{}",
                     analysis::maint::render_json(&rep.maint),
                     analysis::kernel::render_json(&rep.kernel)
                 )
@@ -215,7 +213,7 @@ fn report(
                 String::new()
             };
             json_groups.push(format!(
-                "{{\"group\":\"{name}\",\"errors\":{},\"warnings\":{},\"diagnostics\":{}{shard}}}",
+                "{{\"group\":\"{name}\",\"errors\":{},\"warnings\":{},\"diagnostics\":{}{semantic_json}}}",
                 diags.iter().filter(|d| d.is_error()).count(),
                 diags.iter().filter(|d| !d.is_error()).count(),
                 render_json(diags, map)
@@ -225,26 +223,8 @@ fn report(
     let errors = diags.iter().filter(|d| d.is_error()).count();
     let warnings = diags.len() - errors;
     if semantic && format == Format::Github {
-        // One annotation per rule so the shard verdicts land on the PR
-        // diff next to the rule they judge.
-        for r in &rep.shard.rules {
-            let (file, line, col) = map.resolve(r.span.start);
-            let body = if r.variants.is_empty() {
-                "skipped (failed error-level checks)".to_string()
-            } else {
-                r.variants
-                    .iter()
-                    .map(|(d, v)| format!("delta {d}: {v}"))
-                    .collect::<Vec<_>>()
-                    .join("; ")
-            };
-            println!(
-                "::notice file={file},line={line},col={col},title=shard-safety::rule `{}`: {body}",
-                r.label
-            );
-        }
-        // And one per view rule with its maintenance verdicts, so PRs
-        // show how retractions will propagate to each view they touch.
+        // One annotation per view rule with its maintenance verdicts, so
+        // PRs show how retractions will propagate to each view they touch.
         for r in &rep.maint.rules {
             let (file, line, col) = map.resolve(r.span.start);
             let body = r

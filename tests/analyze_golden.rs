@@ -1,10 +1,8 @@
 //! Golden semantic-analysis reports (monotonicity/CALM, typed catalog,
-//! cardinality, shard safety) for every shipped program group, plus
-//! targeted assertions for the paper's two flagship claims: Paxos has
-//! genuine points of order, and BOOM-FS path resolution is a certified
-//! monotonic query — and for the shard-safety pass: every rule gets a
-//! verdict, the FS heartbeat hot path shards, and stateful builtins pin
-//! their rules serial.
+//! cardinality, maintenance and kernel verdicts) for every shipped
+//! program group, plus targeted assertions for the paper's two flagship
+//! claims: Paxos has genuine points of order, and BOOM-FS path
+//! resolution is a certified monotonic query.
 //!
 //! Regenerate the goldens with `UPDATE_GOLDEN=1 cargo test --test
 //! analyze_golden` after an intentional analysis or program change.
@@ -43,77 +41,6 @@ fn analyze_reports_match_goldens() {
             group.name
         );
     }
-}
-
-#[test]
-fn every_shipped_rule_gets_a_shard_verdict() {
-    for group in shipped::groups() {
-        let (ctx, _) = group.context();
-        let rep = analysis::report(&ctx);
-        assert_eq!(
-            rep.shard.rules.len(),
-            ctx.rules.len(),
-            "group `{}`: shard report must cover every rule",
-            group.name
-        );
-        for r in &rep.shard.rules {
-            assert!(
-                !r.variants.is_empty(),
-                "group `{}`: rule `{}` has no shard verdict (shipped \
-                 programs have no broken rules)",
-                group.name,
-                r.label
-            );
-        }
-        // Every shipped group must have at least one genuinely
-        // hash-distributable rule — otherwise E11 measures nothing.
-        assert!(
-            rep.shard.rules.iter().any(|r| r
-                .variants
-                .iter()
-                .any(|(_, v)| matches!(v, analysis::shard::ShardVerdict::Sharded { .. }))),
-            "group `{}` has no sharded verdict at all",
-            group.name
-        );
-    }
-}
-
-#[test]
-fn fs_heartbeat_absorption_shards_and_newid_stays_serial() {
-    use analysis::shard::ShardVerdict;
-    let group = shipped::groups()
-        .into_iter()
-        .find(|g| g.name == "fs")
-        .unwrap();
-    let (ctx, _) = group.context();
-    let rep = analysis::report(&ctx);
-    // The heartbeat absorption rules — the NameNode's hot path under the
-    // paper's E6 workload — must co-partition on the head key: they are
-    // what intra-node sharding exists to speed up.
-    for head in ["dn_hb", "hb_chunk", "hb_chunk_t"] {
-        let sharded = rep.shard.rules.iter().filter(|r| r.head == head).any(|r| {
-            r.variants
-                .iter()
-                .any(|(_, v)| matches!(v, ShardVerdict::Sharded { .. }))
-        });
-        assert!(sharded, "heartbeat rule for `{head}` must shard");
-    }
-    // File creation mints ids with `newid()`: a stateful builtin pins the
-    // rule serial no matter the join structure.
-    let newid_serial = rep.shard.rules.iter().any(|r| {
-        r.variants.iter().all(
-            |(_, v)| matches!(v, ShardVerdict::Serial { reason, .. } if reason.contains("newid")),
-        ) && !r.variants.is_empty()
-    });
-    assert!(newid_serial, "a newid() rule must be a hard serial");
-    // And the mkdir family distributes by broadcasting the small
-    // metadata relations rather than re-partitioning them.
-    let broadcasts = rep.shard.rules.iter().any(|r| {
-        r.variants
-            .iter()
-            .any(|(_, v)| matches!(v, ShardVerdict::Broadcast { .. }))
-    });
-    assert!(broadcasts, "fs must have broadcast verdicts");
 }
 
 #[test]

@@ -16,17 +16,19 @@ use boom::mr::{MrClusterBuilder, MrDriver, MrJob, SpecPolicy};
 use boom::overlog::PlanOptions;
 use boom::simnet::{overlog_state_fingerprint, set_plan_options_all};
 
-const BASELINE: PlanOptions = PlanOptions {
-    reorder_joins: false,
-    scoped_views: false,
-    shards: 1,
-    maintenance: false,
-    kernels: false,
-};
+fn baseline() -> PlanOptions {
+    PlanOptions {
+        reorder_joins: false,
+        scoped_views: false,
+        maintenance: false,
+        kernels: false,
+        ..PlanOptions::default()
+    }
+}
 
 fn assert_ab_identical(name: &str, run: impl Fn(PlanOptions) -> String) {
-    let a1 = run(BASELINE);
-    let a2 = run(BASELINE);
+    let a1 = run(baseline());
+    let a2 = run(baseline());
     assert_eq!(a1, a2, "{name}: baseline planner is not even self-stable");
     let b = run(PlanOptions::default());
     assert_eq!(
