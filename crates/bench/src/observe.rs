@@ -133,6 +133,10 @@ fn harvest(run: &mut ObservedRun, sim: &mut Sim, node: &str) {
         evals.view_rows_rebuilt as f64,
     );
     reg.gauge(
+        &format!("eval.index_entries_touched.{node}"),
+        evals.index_entries_touched as f64,
+    );
+    reg.gauge(
         &format!("eval.maint_rows_retracted.{node}"),
         evals.maint_rows_retracted as f64,
     );

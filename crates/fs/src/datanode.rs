@@ -5,7 +5,7 @@ use crate::proto;
 use boom_overlog::{NetTuple, Value};
 use boom_simnet::{Actor, Ctx};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// DataNode configuration.
@@ -32,7 +32,8 @@ impl Default for DataNodeConfig {
 pub struct DataNode {
     cfg: DataNodeConfig,
     /// Chunk store: id → content. Persistent across crash/restart.
-    chunks: HashMap<i64, Arc<str>>,
+    /// Ordered, so heartbeats report chunks in the same order every run.
+    chunks: BTreeMap<i64, Arc<str>>,
     /// Total writes served (instrumentation).
     pub writes: u64,
     /// Total reads served (instrumentation).
@@ -44,7 +45,7 @@ impl DataNode {
     pub fn new(cfg: DataNodeConfig) -> Self {
         DataNode {
             cfg,
-            chunks: HashMap::new(),
+            chunks: BTreeMap::new(),
             writes: 0,
             reads: 0,
         }

@@ -9,8 +9,8 @@
 //! reference resolved to a *place* (a column of a scan level, an
 //! assignment register, or a constant), so the runtime executes joins
 //! without consulting an environment at all, and index probes over
-//! all-`int` key columns hash raw `i64`s through the typed twin indexes
-//! ([`crate::table::Table::ensure_int_index`]).
+//! all-`int` key columns hash raw `i64`s into the integer-keyed buckets
+//! of the column set's one index ([`crate::table::Table::lookup_int`]).
 //!
 //! Compilation is total but execution is not: a variant whose
 //! expressions defeat flattening (builtin calls, short-circuit booleans,

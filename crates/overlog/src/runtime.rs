@@ -187,6 +187,10 @@ pub struct EvalStats {
     /// View rows the incremental maintainer inserted or overwrote
     /// (re-derived keys, re-folded groups, DRed re-derivations).
     pub maint_rows_rederived: u64,
+    /// Secondary-index bucket entries written, removed or moved, summed
+    /// over every table. Each row mutation costs at most three per index,
+    /// so this tracks the deltas applied, not the size of the buckets.
+    pub index_entries_touched: u64,
 }
 
 #[derive(Debug)]
@@ -892,37 +896,6 @@ impl OverlogRuntime {
                 }
             }
         }
-        // Typed `i64` twins for the column sets the compiled kernels
-        // probe as all-`int`. Built *after* the generic pass above so
-        // each twin clones its bucket order from the generic index it
-        // mirrors (see [`Table::ensure_int_index`]).
-        for rule in plan.rules.iter() {
-            for variant in &rule.variants {
-                let Some(kernel) = &variant.kernel else {
-                    continue;
-                };
-                for kop in &kernel.ops {
-                    let (tid, cols, int_probe) = match kop {
-                        KOp::Scan {
-                            tid,
-                            index_cols,
-                            int_probe,
-                            ..
-                        }
-                        | KOp::NegScan {
-                            tid,
-                            index_cols,
-                            int_probe,
-                            ..
-                        } => (tid, index_cols, *int_probe),
-                        _ => continue,
-                    };
-                    if int_probe && !cols.is_empty() {
-                        self.tables[tid.idx()].ensure_int_index(cols);
-                    }
-                }
-            }
-        }
     }
 
     /// Set the analysis-driven planner options (see
@@ -1202,7 +1175,10 @@ impl OverlogRuntime {
 
     /// Tick-granularity evaluation counters.
     pub fn eval_stats(&self) -> EvalStats {
-        self.eval_stats
+        EvalStats {
+            index_entries_touched: self.tables.iter().map(Table::index_entries_touched).sum(),
+            ..self.eval_stats
+        }
     }
 
     /// Program texts successfully loaded so far, in load order.
@@ -2342,11 +2318,11 @@ impl OverlogRuntime {
     /// Candidate rows for a kernel scan — [`Self::candidates`] with the
     /// typed fast path in front: when every probed column is declared
     /// `int` *and* every runtime probe value is an `int`, the lookup
-    /// hashes raw `i64`s through the typed twin index. The typed bucket
-    /// holds the same rows in the same order as the generic one (see
-    /// [`Table::ensure_int_index`]), and int columns never coerce, so
-    /// the bucket is recheck-exempt exactly when the generic path's
-    /// would be.
+    /// hashes raw `i64`s straight into the index's integer-keyed buckets
+    /// ([`Table::lookup_int`]). That is the very bucket a `Value` probe
+    /// reaches (a column set has one index), and int columns never
+    /// coerce, so the bucket is recheck-exempt exactly when the generic
+    /// path's would be.
     #[allow(clippy::too_many_arguments)]
     fn kcandidates(
         &self,
@@ -2375,7 +2351,7 @@ impl OverlogRuntime {
                     int_vals.clear();
                     int_vals.push(*k);
                     if let Some(bucket) = t.lookup_int(index_cols, int_vals) {
-                        return Ok((Candidates::Slice(bucket.iter()), true));
+                        return Ok((Candidates::Bucket(bucket), true));
                     }
                 }
             }
@@ -2388,13 +2364,12 @@ impl OverlogRuntime {
                 int_vals.clear();
                 int_vals.extend(probe_vals.iter().filter_map(Value::as_int));
                 if let Some(bucket) = t.lookup_int(index_cols, int_vals) {
-                    return Ok((Candidates::Slice(bucket.iter()), true));
+                    return Ok((Candidates::Bucket(bucket), true));
                 }
             }
         }
-        // Fallback lattice, middle rung: a non-int runtime value (or a
-        // missing typed index) probes the generic `Value`-keyed index,
-        // identically to the interpreter.
+        // Fallback lattice, middle rung: a non-int runtime value probes
+        // the same index by `Value`, identically to the interpreter.
         let coerced = t.coerce_probe(index_cols, probe_vals);
         let (cands, bucket) = t.candidates(index_cols, probe_vals);
         Ok((cands, bucket && !coerced))
@@ -3730,7 +3705,7 @@ impl OverlogRuntime {
                 }
             }
             if let Some(rows) = self.tables[anchor.tid.idx()].lookup(&cols, &vals) {
-                out.extend(rows.iter().cloned());
+                out.extend(rows.cloned());
             }
         }
         out

@@ -4,8 +4,9 @@
 use crate::ast::{TableDecl, TableKind};
 use crate::error::{OverlogError, Result};
 use crate::fx::FxHashMap;
-use crate::value::{Row, Value};
-use std::collections::hash_map::Entry;
+use crate::value::{Row, TypeTag, Value};
+use std::collections::hash_map::{self, Entry};
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// Outcome of inserting a row into a table.
@@ -20,22 +21,26 @@ pub enum InsertOutcome {
     Duplicate,
 }
 
-/// Borrowed candidate rows for a scan: either one index bucket or the
-/// whole table. Lets the evaluator iterate join candidates without
+/// Borrowed candidate rows for a scan: a delta slice, one index bucket
+/// or the whole table. Lets the evaluator iterate join candidates without
 /// cloning them into a `Vec<Row>` first (the zero-copy hot path).
 pub enum Candidates<'a> {
-    /// Rows of one secondary-index bucket (or a delta slice).
+    /// Rows of a delta slice.
     Slice(std::slice::Iter<'a, Row>),
-    /// Every stored row (full scan).
-    All(std::collections::hash_map::Values<'a, Vec<Value>, Row>),
+    /// Rows of one secondary-index bucket, in bucket order.
+    Bucket(Bucket<'a>),
+    /// Every stored row (full scan), in primary-map order.
+    All(SlotRows<'a, hash_map::Values<'a, Vec<Value>, u32>>),
 }
 
 impl<'a> Iterator for Candidates<'a> {
     type Item = &'a Row;
 
+    #[inline]
     fn next(&mut self) -> Option<&'a Row> {
         match self {
             Candidates::Slice(it) => it.next(),
+            Candidates::Bucket(it) => it.next(),
             Candidates::All(it) => it.next(),
         }
     }
@@ -43,52 +48,251 @@ impl<'a> Iterator for Candidates<'a> {
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             Candidates::Slice(it) => it.size_hint(),
+            Candidates::Bucket(it) => it.size_hint(),
             Candidates::All(it) => it.size_hint(),
         }
     }
 }
 
+/// The rows a sequence of slots names, resolved through a table's slab.
+#[derive(Clone)]
+pub struct SlotRows<'a, I> {
+    slots: I,
+    slab: &'a [Option<Row>],
+}
+
+/// The rows of one index bucket, in bucket order.
+pub type Bucket<'a> = SlotRows<'a, std::slice::Iter<'a, u32>>;
+
+impl<'a, I: Iterator<Item = &'a u32>> Iterator for SlotRows<'a, I> {
+    type Item = &'a Row;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a Row> {
+        let &slot = self.slots.next()?;
+        Some(occupied(self.slab, slot))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
+    }
+}
+
+impl<'a, I: ExactSizeIterator<Item = &'a u32>> ExactSizeIterator for SlotRows<'a, I> {}
+
+/// The row in an occupied slab slot.
+#[inline]
+fn occupied(slab: &[Option<Row>], slot: u32) -> &Row {
+    slab[slot as usize]
+        .as_ref()
+        .expect("a mapped slot holds a row")
+}
+
 /// One stored relation.
 ///
-/// Rows are stored in a primary-key map (`keys(...)` columns from the
-/// declaration, or the whole row when no key was declared). Secondary
-/// indexes over arbitrary column sets are created lazily by the evaluator
-/// and maintained on every mutation.
+/// Each row is stored once, in a slot of a slab. The primary-key map
+/// (`keys(...)` columns from the declaration, or the whole row when no
+/// key was declared) maps each key to its row's slot. Secondary indexes
+/// over arbitrary column sets are created by the evaluator and maintained
+/// on every mutation; their buckets hold slots (see `Index`).
 #[derive(Debug)]
 pub struct Table {
     def: TableDecl,
-    rows: FxHashMap<Vec<Value>, Row>,
-    indexes: FxHashMap<Vec<usize>, FxHashMap<Vec<Value>, Vec<Row>>>,
-    /// Typed twins of `indexes` over all-`int` column sets, keyed by raw
-    /// `i64`s instead of `Vec<Value>` — the compiled kernels' hash-join
-    /// probes hash machine integers, not tagged values. Built only for
-    /// column sets a kernel probes (see [`Table::ensure_int_index`]) and
-    /// maintained in lockstep with the generic index (same push /
-    /// `swap_remove` sequence), so a typed bucket iterates its rows in
-    /// exactly the order the generic bucket would — the emission-order
-    /// identity the byte-identical-state gate depends on. Rows with a
-    /// `null` in a key column are excluded: `null` never equals an `int`
-    /// probe, and non-`int` probes fall back to the generic index.
-    int_indexes: FxHashMap<Vec<usize>, IntIndex>,
+    rows: FxHashMap<Vec<Value>, u32>,
+    /// Row storage addressed by slot; `None` marks a free slot.
+    slab: Vec<Option<Row>>,
+    /// Free slots, reused last-freed first.
+    free: Vec<u32>,
+    indexes: FxHashMap<Vec<usize>, Index>,
+    /// Bucket entries written, removed or moved by index maintenance.
+    entries_touched: u64,
 }
 
-/// A typed `i64` twin index. The single-column layout stores its key
-/// inline (one machine word to hash, no heap deref on key compare);
-/// multi-column probes key by the full tuple.
+/// A secondary index over one column set: buckets of slots plus one
+/// back-pointer per slot, so removing a row is a `swap_remove` and one
+/// back-pointer fix instead of a scan of its bucket.
+///
+/// A column set declared all-`int` keys its rows by raw `i64`s: the
+/// compiled kernels' join probes hash machine integers, not tagged
+/// values. A row holding a `null` in such a key, and every row of any
+/// other column set, is keyed by its `Value` tuple.
 #[derive(Debug)]
-enum IntIndex {
-    /// Index over exactly one column, keyed by the raw value.
-    One(FxHashMap<i64, Vec<Row>>),
-    /// Index over two or more columns, keyed by the probe tuple.
-    Many(FxHashMap<Vec<i64>, Vec<Row>>),
+struct Index {
+    /// Buckets of all-`int` keys; `None` unless the columns are declared
+    /// all-`int`.
+    ints: Option<IntBuckets>,
+    /// Buckets of every other key.
+    vals: Buckets<Vec<Value>>,
+    /// `pos[slot]` is the position of `slot` in its bucket (stale for
+    /// free slots).
+    pos: Vec<u32>,
 }
 
-impl IntIndex {
-    fn clear(&mut self) {
-        match self {
-            IntIndex::One(m) => m.clear(),
-            IntIndex::Many(m) => m.clear(),
+type Buckets<K> = FxHashMap<K, Vec<u32>>;
+
+/// Widest column set whose `Value` probe is converted to an `i64` key
+/// on the stack.
+const INLINE_KEY: usize = 8;
+
+#[derive(Debug)]
+enum IntBuckets {
+    /// Exactly one column: the key is stored inline (one machine word to
+    /// hash, no heap deref on key compare).
+    One(Buckets<i64>),
+    /// Two or more columns, keyed by the tuple.
+    Many(Buckets<Vec<i64>>),
+}
+
+impl Index {
+    fn new(int_keyed: bool, ncols: usize, slots: usize) -> Index {
+        let ints = match (int_keyed, ncols) {
+            (false, _) => None,
+            (true, 1) => Some(IntBuckets::One(Buckets::default())),
+            (true, _) => Some(IntBuckets::Many(Buckets::default())),
+        };
+        Index {
+            ints,
+            vals: Buckets::default(),
+            pos: vec![0; slots],
         }
+    }
+
+    /// Append `slot` (holding `row`) to the bucket of its key.
+    fn link(&mut self, cols: &[usize], row: &Row, slot: u32) {
+        if self.pos.len() <= slot as usize {
+            self.pos.resize(slot as usize + 1, 0);
+        }
+        match &mut self.ints {
+            Some(IntBuckets::One(m)) => {
+                if let Some(k) = row[cols[0]].as_int() {
+                    return push(m, &mut self.pos, k, slot);
+                }
+            }
+            Some(IntBuckets::Many(m)) => {
+                if let Some(k) = int_key(cols, row) {
+                    return push(m, &mut self.pos, k, slot);
+                }
+            }
+            None => {}
+        }
+        push(&mut self.vals, &mut self.pos, val_key(cols, row), slot);
+    }
+
+    /// Remove `slot` (holding `row`) from its bucket. Returns the bucket
+    /// entries removed or moved.
+    fn unlink(&mut self, cols: &[usize], row: &Row, slot: u32) -> u64 {
+        match &mut self.ints {
+            Some(IntBuckets::One(m)) => {
+                if let Some(k) = row[cols[0]].as_int() {
+                    return swap_out(m, &mut self.pos, &k, slot);
+                }
+            }
+            Some(IntBuckets::Many(m)) => {
+                if let Some(k) = int_key(cols, row) {
+                    return swap_out(m, &mut self.pos, &k, slot);
+                }
+            }
+            None => {}
+        }
+        swap_out(&mut self.vals, &mut self.pos, &val_key(cols, row), slot)
+    }
+
+    /// The bucket whose key equals the `Value` probe `vals`. An all-`int`
+    /// probe can only equal an all-`int` key, and any other probe only a
+    /// key that holds a non-`int`, so each probe reads exactly one map.
+    #[inline]
+    fn bucket(&self, vals: &[Value]) -> &[u32] {
+        let hit = match &self.ints {
+            Some(IntBuckets::One(m)) => int_probe(&vals[0]).map(|k| m.get(&k)),
+            Some(IntBuckets::Many(m)) if vals.len() <= INLINE_KEY => {
+                let mut key = [0i64; INLINE_KEY];
+                key.iter_mut()
+                    .zip(vals)
+                    .try_for_each(|(k, v)| int_probe(v).map(|i| *k = i))
+                    .map(|()| m.get(&key[..vals.len()]))
+            }
+            Some(IntBuckets::Many(m)) => vals
+                .iter()
+                .map(int_probe)
+                .collect::<Option<Vec<i64>>>()
+                .map(|k| m.get(&k)),
+            None => None,
+        };
+        let hit = hit.unwrap_or_else(|| self.vals.get(vals));
+        hit.map_or(&[], Vec::as_slice)
+    }
+
+    /// The bucket of the all-`int` key `key`; `None` when the columns are
+    /// not declared all-`int`.
+    #[inline]
+    fn int_bucket(&self, key: &[i64]) -> Option<&[u32]> {
+        let hit = match self.ints.as_ref()? {
+            IntBuckets::One(m) => m.get(&key[0]),
+            IntBuckets::Many(m) => m.get(key),
+        };
+        Some(hit.map_or(&[], Vec::as_slice))
+    }
+
+    fn clear(&mut self) {
+        match &mut self.ints {
+            Some(IntBuckets::One(m)) => m.clear(),
+            Some(IntBuckets::Many(m)) => m.clear(),
+            None => {}
+        }
+        self.vals.clear();
+        self.pos.clear();
+    }
+}
+
+/// Append `slot` to the bucket at `key`, recording its position.
+fn push<K: Hash + Eq>(buckets: &mut Buckets<K>, pos: &mut [u32], key: K, slot: u32) {
+    let bucket = buckets.entry(key).or_default();
+    pos[slot as usize] = bucket.len() as u32;
+    bucket.push(slot);
+}
+
+/// `swap_remove` `slot` from the bucket at `key` and repoint the entry
+/// that moved into its place; drop the bucket when it empties. Returns
+/// the entries removed or moved.
+fn swap_out<K: Hash + Eq>(buckets: &mut Buckets<K>, pos: &mut [u32], key: &K, slot: u32) -> u64 {
+    let bucket = buckets.get_mut(key).expect("an indexed row has a bucket");
+    let at = pos[slot as usize] as usize;
+    debug_assert_eq!(bucket[at], slot, "back-pointer names the slot");
+    bucket.swap_remove(at);
+    let mut touched = 1;
+    if let Some(&moved) = bucket.get(at) {
+        pos[moved as usize] = at as u32;
+        touched += 1;
+    }
+    if bucket.is_empty() {
+        buckets.remove(key);
+    }
+    touched
+}
+
+/// The `Value` index key of `row` over `cols`.
+fn val_key(cols: &[usize], row: &Row) -> Vec<Value> {
+    cols.iter().map(|&c| row[c].clone()).collect()
+}
+
+/// The all-`int` index key of `row` over `cols`, or `None` when some key
+/// column holds a non-integer.
+fn int_key(cols: &[usize], row: &Row) -> Option<Vec<i64>> {
+    cols.iter().map(|&c| row[c].as_int()).collect()
+}
+
+/// The `i64` a probe value equals, if any: an `int`, or a float that
+/// `Value` equality and hashing both identify with one (`2.0` but not
+/// `-0.0`).
+#[inline]
+fn int_probe(v: &Value) -> Option<i64> {
+    match *v {
+        Value::Int(i) => Some(i),
+        Value::Float(f) if f.fract() == 0.0 && f >= i64::MIN as f64 && f <= i64::MAX as f64 => {
+            let i = f as i64;
+            (Value::Int(i) == *v).then_some(i)
+        }
+        _ => None,
     }
 }
 
@@ -98,8 +302,10 @@ impl Table {
         Table {
             def,
             rows: FxHashMap::default(),
+            slab: Vec::new(),
+            free: Vec::new(),
             indexes: FxHashMap::default(),
-            int_indexes: FxHashMap::default(),
+            entries_touched: 0,
         }
     }
 
@@ -126,6 +332,14 @@ impl Table {
     /// True when no rows are stored.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
+    }
+
+    /// Bucket entries written, removed or moved by secondary-index
+    /// maintenance over the table's lifetime: the work counter behind
+    /// `EvalStats::index_entries_touched`. A mutation touches at most
+    /// three entries per index, whatever the size of its buckets.
+    pub fn index_entries_touched(&self) -> u64 {
+        self.entries_touched
     }
 
     /// Extract the primary-key columns of a row.
@@ -171,7 +385,7 @@ impl Table {
             .types
             .iter()
             .zip(row.iter())
-            .any(|(t, v)| *t == crate::value::TypeTag::Addr && matches!(v, Value::Str(_)));
+            .any(|(t, v)| *t == TypeTag::Addr && matches!(v, Value::Str(_)));
         if !needs {
             return row;
         }
@@ -181,7 +395,7 @@ impl Table {
             .iter()
             .zip(row.iter())
             .map(|(t, v)| match (t, v) {
-                (crate::value::TypeTag::Addr, Value::Str(s)) => Value::Addr(s.clone()),
+                (TypeTag::Addr, Value::Str(s)) => Value::Addr(s.clone()),
                 _ => v.clone(),
             })
             .collect();
@@ -194,19 +408,32 @@ impl Table {
         let row = self.coerce(row);
         let key = self.key_of(&row);
         match self.rows.entry(key) {
-            Entry::Occupied(mut e) => {
-                if *e.get() == row {
-                    Ok(InsertOutcome::Duplicate)
-                } else {
-                    let old = e.insert(row.clone());
-                    self.index_remove(&old);
-                    self.index_add(&row);
-                    Ok(InsertOutcome::Replaced(old))
+            Entry::Occupied(e) => {
+                let slot = *e.get();
+                let stored = self.slab[slot as usize]
+                    .as_mut()
+                    .expect("a mapped slot holds a row");
+                if *stored == row {
+                    return Ok(InsertOutcome::Duplicate);
                 }
+                let old = std::mem::replace(stored, row);
+                self.unlink(&old, slot);
+                self.link(slot);
+                Ok(InsertOutcome::Replaced(old))
             }
             Entry::Vacant(e) => {
-                e.insert(row.clone());
-                self.index_add(&row);
+                let slot = match self.free.pop() {
+                    Some(slot) => {
+                        self.slab[slot as usize] = Some(row);
+                        slot
+                    }
+                    None => {
+                        self.slab.push(Some(row));
+                        u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 rows")
+                    }
+                };
+                e.insert(slot);
+                self.link(slot);
                 Ok(InsertOutcome::New)
             }
         }
@@ -220,14 +447,14 @@ impl Table {
     pub fn delete(&mut self, row: &Row) -> bool {
         let row = &self.coerce(row.clone());
         let key = self.key_of(row);
-        if let Some(existing) = self.rows.get(&key) {
-            if existing == row {
+        match self.rows.get(&key) {
+            Some(&slot) if occupied(&self.slab, slot) == row => {
                 self.rows.remove(&key);
-                self.index_remove(row);
-                return true;
+                self.release(slot);
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// Delete the row stored under `key` (primary-key order), whatever its
@@ -236,18 +463,16 @@ impl Table {
     /// it — at that point the stored non-key columns are exactly what it
     /// must report retracted, not something it can reconstruct.
     pub fn delete_by_key(&mut self, key: &[Value]) -> Option<Row> {
-        let row = self.rows.remove(key)?;
-        self.index_remove(&row);
-        Some(row)
+        let slot = self.rows.remove(key)?;
+        Some(self.release(slot))
     }
 
     /// Remove every row, keeping index definitions.
     pub fn clear(&mut self) {
         self.rows.clear();
+        self.slab.clear();
+        self.free.clear();
         for idx in self.indexes.values_mut() {
-            idx.clear();
-        }
-        for idx in self.int_indexes.values_mut() {
             idx.clear();
         }
     }
@@ -255,23 +480,25 @@ impl Table {
     /// True when an identical row is stored.
     pub fn contains(&self, row: &Row) -> bool {
         let row = &self.coerce(row.clone());
-        let key = self.key_of(row);
-        self.rows.get(&key).is_some_and(|r| r == row)
+        self.get_by_key(&self.key_of(row)) == Some(row)
     }
 
     /// Fetch the row with the given primary key, if any.
     pub fn get_by_key(&self, key: &[Value]) -> Option<&Row> {
-        self.rows.get(key)
+        self.rows.get(key).map(|&slot| occupied(&self.slab, slot))
     }
 
-    /// Iterate all rows (unordered).
-    pub fn scan(&self) -> impl Iterator<Item = &Row> {
-        self.rows.values()
+    /// Iterate all rows, in primary-map order.
+    pub fn scan(&self) -> SlotRows<'_, hash_map::Values<'_, Vec<Value>, u32>> {
+        SlotRows {
+            slots: self.rows.values(),
+            slab: &self.slab,
+        }
     }
 
     /// All rows, sorted (stable output for tests and traces).
     pub fn sorted_rows(&self) -> Vec<Row> {
-        let mut v: Vec<Row> = self.rows.values().cloned().collect();
+        let mut v: Vec<Row> = self.scan().cloned().collect();
         v.sort();
         v
     }
@@ -279,17 +506,21 @@ impl Table {
     /// Build the secondary index over `cols` if it does not exist yet.
     /// The evaluator calls this eagerly for every index the plan's join
     /// analysis says a scan will probe, so [`Table::lookup`] works through
-    /// `&self` on the hot path.
+    /// `&self` on the hot path. The key form follows the declared column
+    /// types: all-`int` column sets also answer [`Table::lookup_int`].
     pub fn ensure_index(&mut self, cols: &[usize]) {
         debug_assert!(!cols.is_empty());
         if self.indexes.contains_key(cols) {
             return;
         }
-        let mut idx: FxHashMap<Vec<Value>, Vec<Row>> = FxHashMap::default();
-        for row in self.rows.values() {
-            let k: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            idx.entry(k).or_default().push(row.clone());
+        let int_keyed = cols
+            .iter()
+            .all(|&c| self.def.types.get(c) == Some(&TypeTag::Int));
+        let mut idx = Index::new(int_keyed, cols.len(), self.slab.len());
+        for &slot in self.rows.values() {
+            idx.link(cols, occupied(&self.slab, slot), slot);
         }
+        self.entries_touched += self.rows.len() as u64;
         self.indexes.insert(cols.to_vec(), idx);
     }
 
@@ -301,8 +532,7 @@ impl Table {
     pub fn coerce_probe(&self, cols: &[usize], vals: &mut [Value]) -> bool {
         let mut coerced = false;
         for (&c, v) in cols.iter().zip(vals.iter_mut()) {
-            if let (Some(crate::value::TypeTag::Addr), Value::Str(s)) = (self.def.types.get(c), &v)
-            {
+            if let (Some(TypeTag::Addr), Value::Str(s)) = (self.def.types.get(c), &v) {
                 *v = Value::Addr(s.clone());
                 coerced = true;
             }
@@ -315,11 +545,23 @@ impl Table {
     /// full scan — semantically identical because every check pattern is
     /// re-verified per row). Probe values must already be coerced (see
     /// [`Table::coerce_probe`]).
-    pub fn lookup(&self, cols: &[usize], vals: &[Value]) -> Option<&[Row]> {
+    #[inline]
+    pub fn lookup(&self, cols: &[usize], vals: &[Value]) -> Option<Bucket<'_>> {
         debug_assert_eq!(cols.len(), vals.len());
         debug_assert!(!cols.is_empty());
         let idx = self.indexes.get(cols)?;
-        Some(idx.get(vals).map(|b| b.as_slice()).unwrap_or(&[]))
+        Some(self.bucket_rows(idx.bucket(vals)))
+    }
+
+    /// Matches for the raw-integer probe `key` in the index over `cols`:
+    /// the same bucket [`Table::lookup`] returns for the equal `Value`
+    /// probe. `None` when no index was built or its columns are not
+    /// declared all-`int` (the caller falls back to [`Table::lookup`]).
+    #[inline]
+    pub fn lookup_int(&self, cols: &[usize], key: &[i64]) -> Option<Bucket<'_>> {
+        debug_assert_eq!(cols.len(), key.len());
+        let idx = self.indexes.get(cols)?;
+        Some(self.bucket_rows(idx.int_bucket(key)?))
     }
 
     /// Candidate rows for an index probe: the matching bucket when the
@@ -329,150 +571,53 @@ impl Table {
     /// index key equality already proves `row[c] == vals[i]` for every
     /// indexed column, so the evaluator may skip rechecking those columns
     /// (unless the probe was coerced — see [`Table::coerce_probe`]).
+    #[inline]
     pub fn candidates(&self, cols: &[usize], vals: &[Value]) -> (Candidates<'_>, bool) {
         match self.lookup(cols, vals) {
-            Some(bucket) => (Candidates::Slice(bucket.iter()), true),
+            Some(bucket) => (Candidates::Bucket(bucket), true),
             None => (self.all_candidates(), false),
         }
     }
 
     /// Every stored row, as a [`Candidates`] full scan.
+    #[inline]
     pub fn all_candidates(&self) -> Candidates<'_> {
-        Candidates::All(self.rows.values())
+        Candidates::All(self.scan())
     }
 
-    fn index_add(&mut self, row: &Row) {
+    #[inline]
+    fn bucket_rows<'a>(&'a self, slots: &'a [u32]) -> Bucket<'a> {
+        SlotRows {
+            slots: slots.iter(),
+            slab: &self.slab,
+        }
+    }
+
+    /// Add the row in `slot` to every index.
+    fn link(&mut self, slot: u32) {
+        let row = occupied(&self.slab, slot);
         for (cols, idx) in &mut self.indexes {
-            let k: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            idx.entry(k).or_default().push(row.clone());
+            idx.link(cols, row, slot);
         }
-        for (cols, idx) in &mut self.int_indexes {
-            match idx {
-                IntIndex::One(m) => {
-                    if let Some(k) = row[cols[0]].as_int() {
-                        m.entry(k).or_default().push(row.clone());
-                    }
-                }
-                IntIndex::Many(m) => {
-                    if let Some(k) = int_key(cols, row) {
-                        m.entry(k).or_default().push(row.clone());
-                    }
-                }
-            }
-        }
+        self.entries_touched += self.indexes.len() as u64;
     }
 
-    fn index_remove(&mut self, row: &Row) {
+    /// Remove `row`, stored in `slot`, from every index.
+    fn unlink(&mut self, row: &Row, slot: u32) {
         for (cols, idx) in &mut self.indexes {
-            let k: Vec<Value> = cols.iter().map(|&c| row[c].clone()).collect();
-            if let Some(bucket) = idx.get_mut(&k) {
-                if let Some(pos) = bucket.iter().position(|r| r == row) {
-                    bucket.swap_remove(pos);
-                }
-                if bucket.is_empty() {
-                    idx.remove(&k);
-                }
-            }
-        }
-        for (cols, idx) in &mut self.int_indexes {
-            match idx {
-                IntIndex::One(m) => {
-                    if let Some(k) = row[cols[0]].as_int() {
-                        bucket_remove(m, &k, row);
-                    }
-                }
-                IntIndex::Many(m) => {
-                    if let Some(k) = int_key(cols, row) {
-                        bucket_remove(m, &k, row);
-                    }
-                }
-            }
+            self.entries_touched += idx.unlink(cols, row, slot);
         }
     }
 
-    /// Build the typed `i64`-keyed twin of the secondary index over
-    /// `cols` if it does not exist yet. The caller (the runtime, when it
-    /// installs a plan with compiled kernels) only requests this for
-    /// column sets declared all-`int`, where a typed bucket provably
-    /// holds the same rows in the same order as the generic one.
-    pub fn ensure_int_index(&mut self, cols: &[usize]) {
-        debug_assert!(!cols.is_empty());
-        if self.int_indexes.contains_key(cols) {
-            return;
-        }
-        let mut idx = if cols.len() == 1 {
-            IntIndex::One(FxHashMap::default())
-        } else {
-            IntIndex::Many(FxHashMap::default())
-        };
-        if let Some(generic) = self.indexes.get(cols) {
-            // A generic index over the same columns already exists (the
-            // runtime always ensures it first). Clone its buckets verbatim
-            // so within-bucket row order — which fixes emission order and
-            // therefore within-tick overwrite winners — is identical to
-            // what the interpreted probe path iterates. Buckets whose key
-            // holds a non-`int` (a `null`) stay generic-only: an integer
-            // probe can never select them.
-            for (vkey, bucket) in generic {
-                let k: Option<Vec<i64>> = vkey.iter().map(Value::as_int).collect();
-                if let Some(k) = k {
-                    match &mut idx {
-                        IntIndex::One(m) => {
-                            m.insert(k[0], bucket.clone());
-                        }
-                        IntIndex::Many(m) => {
-                            m.insert(k, bucket.clone());
-                        }
-                    }
-                }
-            }
-        } else {
-            for row in self.rows.values() {
-                if let Some(k) = int_key(cols, row) {
-                    match &mut idx {
-                        IntIndex::One(m) => m.entry(k[0]).or_default().push(row.clone()),
-                        IntIndex::Many(m) => m.entry(k).or_default().push(row.clone()),
-                    }
-                }
-            }
-        }
-        self.int_indexes.insert(cols.to_vec(), idx);
-    }
-
-    /// Matches for the raw-integer probe `key` in the typed index over
-    /// `cols`. `None` when no typed index was built (the caller falls
-    /// back to [`Table::lookup`]).
-    pub fn lookup_int(&self, cols: &[usize], key: &[i64]) -> Option<&[Row]> {
-        debug_assert_eq!(cols.len(), key.len());
-        let bucket = match self.int_indexes.get(cols)? {
-            IntIndex::One(m) => m.get(&key[0]),
-            IntIndex::Many(m) => m.get(key),
-        };
-        Some(bucket.map(|b| b.as_slice()).unwrap_or(&[]))
-    }
-}
-
-/// The all-`int` index key of `row` over `cols`, or `None` when some key
-/// column holds a non-integer (such rows are never in a typed index).
-fn int_key(cols: &[usize], row: &Row) -> Option<Vec<i64>> {
-    cols.iter().map(|&c| row[c].as_int()).collect()
-}
-
-/// Remove one occurrence of `row` from the bucket at `key`, dropping the
-/// bucket when it empties — the same `swap_remove` sequence the generic
-/// index uses, so both stay order-aligned.
-fn bucket_remove<K: std::hash::Hash + Eq + Clone>(
-    idx: &mut FxHashMap<K, Vec<Row>>,
-    key: &K,
-    row: &Row,
-) {
-    if let Some(bucket) = idx.get_mut(key) {
-        if let Some(pos) = bucket.iter().position(|r| r == row) {
-            bucket.swap_remove(pos);
-        }
-        if bucket.is_empty() {
-            idx.remove(key);
-        }
+    /// Free `slot` (already unmapped from the primary map) and unlink its
+    /// row from every index. Returns the row.
+    fn release(&mut self, slot: u32) -> Row {
+        let row = self.slab[slot as usize]
+            .take()
+            .expect("a mapped slot holds a row");
+        self.free.push(slot);
+        self.unlink(&row, slot);
+        row
     }
 }
 
@@ -670,8 +815,9 @@ mod tests {
         assert!(t.delete_by_key(&[Value::Int(1)]).is_none());
         assert_eq!(t.len(), 1);
         assert_eq!(hits(&t, &[1], &[Value::str("b")]), 1);
-        assert!(
-            t.lookup(&[1], &[Value::str("a")]).unwrap().is_empty(),
+        assert_eq!(
+            hits(&t, &[1], &[Value::str("a")]),
+            0,
             "secondary index dropped the removed row"
         );
     }
@@ -727,46 +873,296 @@ mod tests {
         assert_eq!(rows[1], tuple!(2, "b"));
     }
 
-    fn decl2int(keys: Option<Vec<usize>>) -> TableDecl {
+    /// The order oracle: rows in a primary map, `Vec<Row>` buckets,
+    /// removal by `position` + `swap_remove`. Slot-addressed removal must
+    /// leave every bucket, and the full scan, in exactly this order.
+    struct Oracle {
+        keys: Option<Vec<usize>>,
+        rows: FxHashMap<Vec<Value>, Row>,
+        indexes: Vec<(Vec<usize>, RowBuckets)>,
+    }
+
+    type RowBuckets = FxHashMap<Vec<Value>, Vec<Row>>;
+
+    impl Oracle {
+        fn key_of(&self, row: &Row) -> Vec<Value> {
+            match &self.keys {
+                Some(cols) => val_key(cols, row),
+                None => row.as_ref().clone(),
+            }
+        }
+
+        fn add(&mut self, row: &Row) {
+            for (cols, idx) in &mut self.indexes {
+                idx.entry(val_key(cols, row)).or_default().push(row.clone());
+            }
+        }
+
+        fn remove(&mut self, row: &Row) {
+            for (cols, idx) in &mut self.indexes {
+                let k = val_key(cols, row);
+                let bucket = idx.get_mut(&k).expect("indexed row has a bucket");
+                let at = bucket.iter().position(|r| r == row).expect("row in bucket");
+                bucket.swap_remove(at);
+                if bucket.is_empty() {
+                    idx.remove(&k);
+                }
+            }
+        }
+
+        fn apply(&mut self, step: &Step) {
+            match step {
+                Step::Insert(row) => match self.rows.entry(self.key_of(row)) {
+                    Entry::Occupied(mut e) => {
+                        if e.get() != row {
+                            let old = e.insert(row.clone());
+                            self.remove(&old);
+                            self.add(row);
+                        }
+                    }
+                    Entry::Vacant(e) => {
+                        e.insert(row.clone());
+                        self.add(row);
+                    }
+                },
+                Step::Delete(row) => {
+                    let key = self.key_of(row);
+                    if self.rows.get(&key) == Some(row) {
+                        self.rows.remove(&key);
+                        self.remove(row);
+                    }
+                }
+                Step::DeleteByKey(key) => {
+                    if let Some(row) = self.rows.remove(key) {
+                        self.remove(&row);
+                    }
+                }
+                Step::DeleteStored(_) => {}
+                Step::Clear => {
+                    self.rows.clear();
+                    for (_, idx) in &mut self.indexes {
+                        idx.clear();
+                    }
+                }
+                Step::Index(cols) => {
+                    if self.indexes.iter().all(|(c, _)| c != cols) {
+                        let mut idx = RowBuckets::default();
+                        for row in self.rows.values() {
+                            idx.entry(val_key(cols, row)).or_default().push(row.clone());
+                        }
+                        self.indexes.push((cols.clone(), idx));
+                    }
+                }
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    enum Step {
+        Insert(Row),
+        Delete(Row),
+        /// Delete the `n`-th stored row (mod the row count), so deletes
+        /// hit as often as they miss.
+        DeleteStored(usize),
+        DeleteByKey(Vec<Value>),
+        Clear,
+        Index(Vec<usize>),
+    }
+
+    /// Columns: `int` (the key when keyed), `int` or `null`, `string`,
+    /// and `float` holding integral floats, the equal `int`s and `null`.
+    fn oracle_decl(keys: Option<Vec<usize>>) -> TableDecl {
         TableDecl {
             name: "t".into(),
             keys,
-            types: vec![TypeTag::Int, TypeTag::Int],
+            types: vec![TypeTag::Int, TypeTag::Int, TypeTag::Str, TypeTag::Float],
             kind: TableKind::Materialized,
             span: crate::ast::Span::default(),
         }
     }
 
-    #[test]
-    fn int_index_mirrors_generic_bucket_order_through_mutations() {
-        let mut t = Table::new(decl2int(None));
-        t.ensure_index(&[1]);
-        t.ensure_int_index(&[1]);
-        for i in 0..6 {
-            t.insert(tuple!(i, i % 2)).unwrap();
-        }
-        // Remove from the middle so swap_remove reorders both buckets.
-        t.delete(&tuple!(2, 0));
-        t.insert(tuple!(8, 0)).unwrap();
-        let generic: Vec<Row> = t.lookup(&[1], &[Value::Int(0)]).unwrap().to_vec();
-        let typed: Vec<Row> = t.lookup_int(&[1], &[0]).unwrap().to_vec();
-        assert_eq!(generic, typed, "typed bucket must match order exactly");
-        assert_eq!(t.lookup_int(&[1], &[7]).unwrap(), &[] as &[Row]);
-        assert!(t.lookup_int(&[0], &[1]).is_none(), "not built for [0]");
+    /// Column sets the oracle runs build indexes over: one-column and
+    /// multi-column all-`int` sets, and sets that are not all-`int`.
+    const ORACLE_INDEXES: [&[usize]; 6] = [&[1], &[0, 1], &[2], &[3], &[1, 3], &[0]];
+
+    fn row4(a: i64, b: Option<i64>, c: &str, d: Value) -> Row {
+        Arc::new(vec![
+            Value::Int(a),
+            b.map_or(Value::Null, Value::Int),
+            Value::str(c),
+            d,
+        ])
     }
 
+    /// `key` with every `int` turned into the equal float, and with every
+    /// integral float turned into the equal `int`.
+    fn probe_variants(key: &[Value]) -> Vec<Vec<Value>> {
+        let as_float = key
+            .iter()
+            .map(|v| match v {
+                Value::Int(i) => Value::Float(*i as f64),
+                v => v.clone(),
+            })
+            .collect();
+        let as_int = key
+            .iter()
+            .map(|v| int_probe(v).map_or_else(|| v.clone(), Value::Int))
+            .collect();
+        let neg_zero = key
+            .iter()
+            .map(|v| match v {
+                Value::Int(0) => Value::Float(-0.0),
+                v => v.clone(),
+            })
+            .collect();
+        let nulls = key.iter().map(|_| Value::Null).collect();
+        let miss = key.iter().map(|_| Value::Int(99)).collect();
+        vec![key.to_vec(), as_float, as_int, neg_zero, nulls, miss]
+    }
+
+    /// Every bucket of `t` probed by `Value` (as stored, as floats, as
+    /// ints, `-0.0`, nulls, a miss) and by `i64` matches the oracle's
+    /// bucket row for row; the full scan matches its primary map.
+    fn check_against_oracle(t: &Table, o: &Oracle) {
+        assert_eq!(t.len(), o.rows.len());
+        let scanned: Vec<&Row> = t.scan().collect();
+        let want: Vec<&Row> = o.rows.values().collect();
+        assert_eq!(scanned, want, "full scan order");
+        for cols in ORACLE_INDEXES {
+            let Some((_, idx)) = o.indexes.iter().find(|(c, _)| c == cols) else {
+                assert!(t
+                    .lookup(cols, &val_key(cols, &row4(0, None, "a", Value::Null)))
+                    .is_none());
+                assert!(t.lookup_int(cols, &vec![0; cols.len()]).is_none());
+                continue;
+            };
+            let int_keyed = cols.iter().all(|&c| c < 2);
+            for key in idx.keys() {
+                for probe in probe_variants(key) {
+                    let want: Vec<&Row> = idx.get(&probe).map_or(vec![], |b| b.iter().collect());
+                    let got: Vec<&Row> = t.lookup(cols, &probe).expect("index built").collect();
+                    assert_eq!(got, want, "cols {cols:?} probe {probe:?}");
+                    let ints: Option<Vec<i64>> = probe.iter().map(Value::as_int).collect();
+                    if let Some(ints) = ints {
+                        match t.lookup_int(cols, &ints) {
+                            Some(b) => {
+                                assert!(int_keyed);
+                                assert_eq!(
+                                    b.collect::<Vec<_>>(),
+                                    want,
+                                    "cols {cols:?} int probe {ints:?}"
+                                );
+                            }
+                            None => assert!(!int_keyed, "all-int columns answer i64 probes"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn run_oracle(keys: Option<Vec<usize>>, steps: &[Step]) {
+        let mut t = Table::new(oracle_decl(keys.clone()));
+        let mut o = Oracle {
+            keys,
+            rows: FxHashMap::default(),
+            indexes: Vec::new(),
+        };
+        check_against_oracle(&t, &o);
+        for step in steps {
+            let stored = match step {
+                Step::DeleteStored(n) if !o.rows.is_empty() => o
+                    .rows
+                    .values()
+                    .nth(n % o.rows.len())
+                    .cloned()
+                    .map(Step::Delete),
+                _ => None,
+            };
+            let step = stored.as_ref().unwrap_or(step);
+            match step {
+                Step::Insert(row) => {
+                    t.insert(row.clone()).unwrap();
+                }
+                Step::Delete(row) => {
+                    t.delete(row);
+                }
+                Step::DeleteByKey(key) => {
+                    t.delete_by_key(key);
+                }
+                Step::DeleteStored(_) => {}
+                Step::Clear => t.clear(),
+                Step::Index(cols) => t.ensure_index(cols),
+            }
+            o.apply(step);
+            check_against_oracle(&t, &o);
+        }
+    }
+
+    /// A removal from the middle of a bucket reorders it by
+    /// `swap_remove`, and `i64`, `Value` and float probes all see that
+    /// order.
     #[test]
-    fn int_index_skips_null_keys() {
-        let mut t = Table::new(decl2int(None));
-        t.ensure_int_index(&[1]);
-        t.insert(tuple!(1, 5)).unwrap();
-        t.insert(Arc::new(vec![Value::Int(2), Value::Null]))
-            .unwrap();
-        assert_eq!(t.lookup_int(&[1], &[5]).unwrap().len(), 1);
-        // The null-keyed row lives only in the row store.
-        assert_eq!(t.len(), 2);
-        t.clear();
-        assert_eq!(t.lookup_int(&[1], &[5]).unwrap().len(), 0);
+    fn mid_bucket_removal_keeps_swap_remove_order() {
+        let mut steps = vec![Step::Index(vec![1])];
+        for i in 0..6 {
+            steps.push(Step::Insert(row4(i, Some(i % 2), "a", Value::Null)));
+        }
+        steps.push(Step::Delete(row4(2, Some(0), "a", Value::Null)));
+        steps.push(Step::Insert(row4(8, Some(0), "a", Value::Null)));
+        run_oracle(None, &steps);
+    }
+
+    /// A `null` in an all-`int` key is kept under its `Value` key: `i64`
+    /// probes never see it, a `null` probe does, and `clear` empties
+    /// both key forms.
+    #[test]
+    fn null_keys_in_int_columns_stay_value_keyed() {
+        let steps = [
+            Step::Index(vec![1]),
+            Step::Insert(row4(1, Some(5), "a", Value::Null)),
+            Step::Insert(row4(2, None, "a", Value::Null)),
+            Step::Index(vec![0, 1]),
+            Step::Clear,
+            Step::Insert(row4(3, None, "b", Value::Int(1))),
+        ];
+        run_oracle(Some(vec![0]), &steps);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(200))]
+
+        /// Random inserts, overwrites, deletes (hits and misses),
+        /// `delete_by_key`, `clear` and late `ensure_index` keep every
+        /// bucket in the oracle's order after every step.
+        #[test]
+        fn slot_indexes_match_the_swap_remove_oracle(
+            keyed in proptest::bool::ANY,
+            raw in proptest::collection::vec((0u8..32, 0i64..8, 0u8..5, 0u8..2, 0u8..7), 1..80)
+        ) {
+            let steps: Vec<Step> = raw
+                .iter()
+                .map(|&(op, a, b, c, d)| {
+                    let b = (b > 0).then(|| i64::from(b) - 1);
+                    let c = ["a", "b"][c as usize];
+                    let d = match d {
+                        0 => Value::Null,
+                        1..=3 => Value::Int(i64::from(d) - 1),
+                        _ => Value::Float(f64::from(d) - 4.0),
+                    };
+                    let row = row4(a, b, c, d);
+                    match op {
+                        0..=15 => Step::Insert(row),
+                        16..=17 => Step::Delete(row),
+                        18..=21 => Step::DeleteStored(a as usize),
+                        22..=25 => Step::DeleteByKey(if keyed { vec![Value::Int(a)] } else { row.as_ref().clone() }),
+                        26..=30 => Step::Index(ORACLE_INDEXES[a as usize % ORACLE_INDEXES.len()].to_vec()),
+                        _ => Step::Clear,
+                    }
+                })
+                .collect();
+            run_oracle(keyed.then(|| vec![0]), &steps);
+        }
     }
 
     #[test]

@@ -409,6 +409,48 @@ fn derivations_counted() {
     assert_eq!(fires[0].1, 1);
 }
 
+/// Index entries touched by overwriting 128 rows of `hb`, whose rows all
+/// share one bucket of its index over column 1 (the shape of a DataNode's
+/// chunk report). The view's maintainer adds a second `hb` index, over
+/// columns (1, 0), the first time `hb` changes; a one-row overwrite builds
+/// it before the measured tick.
+fn index_work_for_128_overwrites(rows: i64) -> u64 {
+    let mut r = rt("define(hb, keys(0), {Int, Int, Int});
+                    define(q, keys(0), {Int});
+                    define(out, keys(0, 1), {Int, Int});
+                    out(N, C) :- q(N), hb(C, N, _);");
+    for c in 0..rows {
+        r.insert("hb", row(vec![Value::Int(c), Value::Int(7), Value::Int(0)]))
+            .unwrap();
+    }
+    r.tick(0).unwrap();
+    r.insert("hb", row(vec![Value::Int(1), Value::Int(7), Value::Int(2)]))
+        .unwrap();
+    r.tick(1).unwrap();
+    let before = r.eval_stats().index_entries_touched;
+    for i in 0..128 {
+        let c = i * (rows / 128);
+        r.insert("hb", row(vec![Value::Int(c), Value::Int(7), Value::Int(1)]))
+            .unwrap();
+    }
+    r.tick(2).unwrap();
+    assert_eq!(r.rows("hb").len(), rows as usize);
+    r.eval_stats().index_entries_touched - before
+}
+
+#[test]
+fn index_maintenance_costs_the_delta_not_the_bucket() {
+    let small = index_work_for_128_overwrites(1_000);
+    let large = index_work_for_128_overwrites(10_000);
+    assert!(small > 0, "overwrites are counted");
+    assert_eq!(small, large, "cost must not grow with the bucket");
+    let indexes = 2;
+    assert!(
+        small <= 4 * 128 * indexes,
+        "{small} entries for 128 overwrites over {indexes} indexes"
+    );
+}
+
 mod kernels {
     use super::*;
     use boom_overlog::PlanOptions;
