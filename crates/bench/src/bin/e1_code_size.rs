@@ -1,9 +1,11 @@
 //! E1 — the code-size table (paper: "HDFS ≈ 21,700 lines of Java vs
 //! BOOM-FS ≈ 85 rules / 469 lines of Overlog + ~1,400 lines of Java";
 //! Paxos ≈ 302 Overlog lines). Prints our table computed with the same
-//! counting method (non-blank, non-comment lines; tests excluded).
+//! counting method (non-blank, non-comment lines; tests excluded), and
+//! writes the per-crate, per-module and per-program counts to
+//! `results/BENCH_e1.json` (run from the repository root).
 
-use boom_bench::locs::{render_size_table, size_table};
+use boom_bench::locs::{render_size_table, size_json, size_table};
 
 fn main() {
     println!("E1: code size (declarative vs imperative)\n");
@@ -31,4 +33,11 @@ fn main() {
         "LATE policy: {} rules / {} lines (paper: a handful of rules)",
         late.olg_rules, late.olg_lines
     );
+    match std::fs::write("results/BENCH_e1.json", size_json()) {
+        Ok(()) => eprintln!("E1: wrote results/BENCH_e1.json"),
+        Err(e) => {
+            eprintln!("E1: could not write results/BENCH_e1.json: {e}");
+            std::process::exit(1);
+        }
+    }
 }

@@ -236,6 +236,11 @@ fn parse(input: &str) -> Result<Json, String> {
 /// back to the first field as label and the next few numerics as headline.
 const SHAPES: &[(&str, &[&str], &[&str])] = &[
     (
+        "e1_code_size",
+        &["kind", "name"],
+        &["rust_lines", "rules", "olg_lines"],
+    ),
+    (
         "e10_engine",
         &["workload", "mode"],
         &["tuples", "tuples_per_sec", "fingerprint_match"],
@@ -265,11 +270,6 @@ const SHAPES: &[(&str, &[&str], &[&str])] = &[
             "view_recomputes",
             "fingerprint_match",
         ],
-    ),
-    (
-        "e15_kernel",
-        &["mode", "maintenance"],
-        &["tuples_per_sec", "kernel_evals", "fingerprint_match"],
     ),
 ];
 
@@ -358,11 +358,11 @@ fn summarize(files: &[(String, Json)]) -> (String, Vec<String>) {
 /// A missing member means a benchmark silently stopped publishing — the
 /// summary must fail rather than shrink.
 const REQUIRED: &[&str] = &[
+    "BENCH_e1.json",
     "BENCH_e10.json",
     "BENCH_e12.json",
     "BENCH_e13.json",
     "BENCH_e14.json",
-    "BENCH_e15.json",
 ];
 
 fn main() -> ExitCode {
@@ -475,24 +475,22 @@ mod tests {
     }
 
     #[test]
-    fn e15_shape_labels_by_engine_configuration() {
+    fn e1_shape_labels_by_unit() {
         let doc = parse(
-            r#"{"experiment":"e15_kernel","cases":[{"mode":"kernels","maintenance":false,"tuples":81920,"eval_secs":0.41,"tuples_per_sec":199804.1,"wall_ms":512.0,"kernel_evals":737,"fingerprint_match":true}]}"#,
+            r#"{"experiment":"e1_code_size","cases":[{"kind":"crate","name":"boom-overlog","rust_lines":9000},{"kind":"program","name":"fs/namenode.olg","rules":70,"olg_lines":189}]}"#,
         )
         .unwrap();
-        let (md, hollow) = summarize(&[("BENCH_e15.json".into(), doc)]);
-        assert!(md.contains("| e15_kernel | kernels/NO | "));
-        assert!(md.contains("tuples_per_sec=199804.10"));
-        assert!(md.contains("kernel_evals=737"));
-        assert!(md.contains("fingerprint_match=yes"));
+        let (md, hollow) = summarize(&[("BENCH_e1.json".into(), doc)]);
+        assert!(md.contains("| e1_code_size | crate/boom-overlog | rust_lines=9000 |"));
+        assert!(md.contains("| e1_code_size | program/fs/namenode.olg | rules=70, olg_lines=189 |"));
         assert!(hollow.is_empty());
     }
 
     #[test]
     fn hollow_document_is_reported_not_swallowed() {
-        let doc = parse(r#"{"experiment":"e15_kernel","speedups":[]}"#).unwrap();
-        let (md, hollow) = summarize(&[("BENCH_e15.json".into(), doc)]);
+        let doc = parse(r#"{"experiment":"e1_code_size","programs":[]}"#).unwrap();
+        let (md, hollow) = summarize(&[("BENCH_e1.json".into(), doc)]);
         assert!(md.contains("(no `cases` array)"));
-        assert_eq!(hollow, vec!["BENCH_e15.json".to_string()]);
+        assert_eq!(hollow, vec!["BENCH_e1.json".to_string()]);
     }
 }

@@ -1131,246 +1131,6 @@ pub fn run_maint_bench(
 }
 
 // ---------------------------------------------------------------------------
-// E15: compiled kernels — interpreted vs kernel-specialized evaluation on
-// chunk-churn, with and without incremental maintenance
-// ---------------------------------------------------------------------------
-
-/// One measured `(mode, maintenance)` cell of the E15 table.
-#[derive(Debug, Clone)]
-pub struct KernelBenchCase {
-    /// `"kernels"` (compiled fast path) or `"interpreted"`
-    /// (`PlanOptions::kernels = false`).
-    pub mode: String,
-    /// `PlanOptions::maintenance` for this run.
-    pub maintenance: bool,
-    /// Churn tuples delivered during the measured section. Identical
-    /// across cells by construction.
-    pub tuples: u64,
-    /// Rule-evaluation CPU seconds (summed per-rule `eval_ns`) in the
-    /// measured section — the cost the kernels attack, excluding the
-    /// host's insert/commit bookkeeping both modes share.
-    pub eval_secs: f64,
-    /// Churn tuples per evaluation CPU second — the E15 figure of merit.
-    pub tuples_per_sec: f64,
-    /// Host wall-clock milliseconds for the measured section.
-    pub wall_ms: f64,
-    /// Variant evaluations served by a compiled kernel (0 proves the
-    /// interpreted rows really ran interpreted; >0 proves the kernel
-    /// path engaged).
-    pub kernel_evals: u64,
-    /// Did this run's final state match the interpreted baseline byte for
-    /// byte? (Trivially true for that baseline row.)
-    pub fingerprint_match: bool,
-}
-
-/// Everything one `run_kernel_bench` sweep yields.
-#[derive(Debug, Clone)]
-pub struct KernelBenchResult {
-    /// The cell table: for each maintenance mode, the interpreted row
-    /// then the kernels row.
-    pub cases: Vec<KernelBenchCase>,
-    /// Per maintenance mode: `eval_interpreted / eval_kernels` — how many
-    /// times cheaper rule evaluation gets on the compiled path. The
-    /// `false` entry is the headline E15 acceptance figure.
-    pub speedups: Vec<(bool, f64)>,
-}
-
-/// Everything one `bench_kernel_churn` run yields.
-struct KernelRun {
-    eval_secs: f64,
-    wall_ms: f64,
-    kernel_evals: u64,
-    fingerprint: String,
-}
-
-/// The E15 chunk-churn workload, cut for the kernel A/B: a single
-/// NameNode-shaped runtime holds `rows` replica reports (`rep`, keyed by
-/// chunk) plus typed `chunk` metadata and a `node_rack` topology table,
-/// then takes bursts of re-reports. Every burst is a keyed overwrite —
-/// an insert *plus a retraction* — that (1) drives two typed equijoins
-/// (`placed`, `misplaced`: chunk-id and rack-id `i64` probes, exactly
-/// what the kernel compiler specializes), (2) crosses a literal
-/// `delta_gate` (`kind == 1`) that the columnar layer vectorizes, and
-/// (3) churns the `usage` view so retractions exercise PR 9 maintenance
-/// under kernels. Everything is `Int`-declared, so every probe compiles
-/// to the typed `i64` path; `BOOM_KERNELS`-style gating happens through
-/// `PlanOptions::kernels` per cell instead.
-fn bench_kernel_churn(
-    kernels: bool,
-    maintenance: bool,
-    rows: usize,
-    rounds: usize,
-    churn: usize,
-) -> KernelRun {
-    use boom_overlog::{OverlogRuntime, PlanOptions};
-    use std::sync::Arc;
-    const SRC: &str = "event report, {Int, Int, Int, Int};
-         define(chunk, keys(0), {Int, Int});
-         define(node_rack, keys(0), {Int, Int});
-         define(rack_nodes, keys(0,1), {Int, Int});
-         define(rep, keys(0), {Int, Int, Int, Int});
-         define(placed, keys(0), {Int, Int, Int});
-         define(peer, keys(0,1), {Int, Int});
-         define(misplaced, keys(0), {Int, Int});
-         define(balance, keys(0,1), {Int, Int});
-         define(usage, keys(0), {Int, Int});
-         rep(C, N, L, T) :- report(C, N, L, T);
-         placed(C, R, L) :- report(C, N, L, T), node_rack(N, R), chunk(C, _), T >= 0;
-         peer(C, M) :- report(C, N, _, _), node_rack(N, R), rack_nodes(R, M), M > N;
-         misplaced(C, R) :- report(C, N, 1, _), node_rack(N, R), R > 0;
-         balance(C, M) :- report(C, N, 1, _), node_rack(N, R), rack_nodes(R, M), M != N;
-         usage(C, U) :- rep(C, N, L, _), chunk(C, W), S := L * W, U := S + N;";
-    let mut r = OverlogRuntime::new("nn-bench");
-    r.load(SRC).expect("bench program loads");
-    r.set_plan_options(PlanOptions {
-        kernels,
-        maintenance,
-        ..PlanOptions::default()
-    });
-    let report = |cid: usize, len: i64| -> boom_overlog::Row {
-        Arc::new(vec![
-            Value::Int(cid as i64),
-            Value::Int((cid % 64) as i64),
-            Value::Int(len),
-            Value::Int((cid % 97) as i64),
-        ])
-    };
-    for cid in 0..rows {
-        r.insert(
-            "chunk",
-            Arc::new(vec![Value::Int(cid as i64), Value::Int(3)]),
-        )
-        .expect("seed chunk");
-    }
-    for n in 0..64 {
-        r.insert(
-            "node_rack",
-            Arc::new(vec![Value::Int(n), Value::Int(n % 4)]),
-        )
-        .expect("seed rack");
-        r.insert(
-            "rack_nodes",
-            Arc::new(vec![Value::Int(n % 4), Value::Int(n)]),
-        )
-        .expect("seed rack peers");
-    }
-    r.tick(0).expect("seed tick");
-    // Seed every chunk's report once, in tranches so each tick's event
-    // batch stays bounded.
-    let mut now = 1u64;
-    let mut cid = 0usize;
-    while cid < rows {
-        let end = rows.min(cid + 50_000);
-        for c in cid..end {
-            r.insert("report", report(c, 1)).expect("seed report");
-        }
-        cid = end;
-        r.settle(now).expect("seed settles");
-        now += 1;
-    }
-    // Measured section: the churn bursts. A multiplicative stride walks
-    // the chunk space so every burst touches spread-out keys.
-    let eval_ns =
-        |r: &OverlogRuntime| -> u64 { r.rule_stats().iter().map(|(_, s)| s.eval_ns).sum() };
-    let e0 = eval_ns(&r);
-    let wall = std::time::Instant::now();
-    let mut seq = 0usize;
-    for _ in 0..rounds {
-        for _ in 0..churn {
-            let c = seq.wrapping_mul(7919) % rows;
-            r.insert("report", report(c, 1 + (seq % 4) as i64))
-                .expect("churn report");
-            seq += 1;
-        }
-        r.settle(now).expect("churn settles");
-        now += 1;
-    }
-    let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let eval_secs = ((eval_ns(&r) - e0) as f64 / 1e9).max(1e-9);
-    let kernel_evals = r.rule_stats().iter().map(|(_, s)| s.kernel_evals).sum();
-    // Full materialized state, sorted per table: the byte-identity gate.
-    let mut fingerprint = String::new();
-    for t in [
-        "chunk",
-        "node_rack",
-        "rack_nodes",
-        "rep",
-        "placed",
-        "peer",
-        "misplaced",
-        "balance",
-        "usage",
-    ] {
-        for row in r.table(t).expect("declared").sorted_rows() {
-            fingerprint.push_str(&format!("{t}{row:?}\n"));
-        }
-    }
-    KernelRun {
-        eval_secs,
-        wall_ms,
-        kernel_evals,
-        fingerprint,
-    }
-}
-
-/// E15: sweep the chunk-churn workload over maintenance modes × both
-/// engines, gating every cell on byte-identity with the interpreted
-/// baseline and recording the evaluation-CPU speedup per maintenance
-/// mode. Each cell runs `reps` times keeping
-/// the minimum evaluation time (the standard noise filter for a
-/// deterministic workload); the fingerprint gate must hold on *every*
-/// repetition.
-pub fn run_kernel_bench(
-    rows: usize,
-    rounds: usize,
-    churn: usize,
-    reps: usize,
-) -> KernelBenchResult {
-    let reps = reps.max(1);
-    let min_of = |kernels: bool, maintenance: bool| {
-        let mut best: Option<KernelRun> = None;
-        for _ in 0..reps {
-            let run = bench_kernel_churn(kernels, maintenance, rows, rounds, churn);
-            if let Some(b) = &best {
-                assert_eq!(
-                    run.fingerprint, b.fingerprint,
-                    "E15 repetitions of an identical config must agree"
-                );
-            }
-            if best.as_ref().is_none_or(|b| run.eval_secs < b.eval_secs) {
-                best = Some(run);
-            }
-        }
-        best.expect("reps >= 1")
-    };
-    let tuples = (rounds * churn) as u64;
-    let mut cases = Vec::new();
-    let mut speedups = Vec::new();
-    let mut baseline_fp: Option<String> = None;
-    for maintenance in [false, true] {
-        let interpreted = min_of(false, maintenance);
-        let kernelized = min_of(true, maintenance);
-        let reference = baseline_fp
-            .get_or_insert_with(|| interpreted.fingerprint.clone())
-            .clone();
-        let case = |mode: &str, r: &KernelRun| KernelBenchCase {
-            mode: mode.to_string(),
-            maintenance,
-            tuples,
-            eval_secs: r.eval_secs,
-            tuples_per_sec: tuples as f64 / r.eval_secs,
-            wall_ms: r.wall_ms,
-            kernel_evals: r.kernel_evals,
-            fingerprint_match: r.fingerprint == reference,
-        };
-        cases.push(case("interpreted", &interpreted));
-        cases.push(case("kernels", &kernelized));
-        speedups.push((maintenance, interpreted.eval_secs / kernelized.eval_secs));
-    }
-    KernelBenchResult { cases, speedups }
-}
-
-// ---------------------------------------------------------------------------
 // Rendering helpers shared by the binaries
 // ---------------------------------------------------------------------------
 

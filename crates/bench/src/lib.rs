@@ -19,7 +19,6 @@
 //! | E12 | `e12_recovery` | durable recovery: replay cost vs history and checkpoint interval |
 //! | E13 | `e13_serve` | serving tier: standing subscriptions at scale over a loaded NameNode |
 //! | E14 | `e14_maint` | incremental view maintenance vs full recompute on heartbeat churn |
-//! | E15 | `e15_kernel` | compiled kernels vs interpreted evaluation on chunk-churn |
 //!
 //! Criterion microbenches (`cargo bench`) cover engine-level numbers that
 //! back the latency/throughput cells at CI-friendly scale.

@@ -142,6 +142,72 @@ pub fn size_table() -> Vec<SizeRow> {
     ]
 }
 
+/// Sorted `(path relative to dir, path)` of every file under `dir` whose
+/// extension is `ext`.
+fn files_with_ext(dir: &Path, ext: &str) -> Vec<(String, PathBuf)> {
+    fn walk(base: &Path, dir: &Path, ext: &str, out: &mut Vec<(String, PathBuf)>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for e in entries.flatten() {
+            let p = e.path();
+            if p.is_dir() {
+                walk(base, &p, ext, out);
+            } else if p.extension().is_some_and(|x| x == ext) {
+                let rel = p.strip_prefix(base).unwrap_or(&p);
+                out.push((rel.to_string_lossy().into_owned(), p.clone()));
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(dir, dir, ext, &mut out);
+    out.sort();
+    out
+}
+
+/// The code-size result as `results/BENCH_e1.json`: one case per crate
+/// (Rust lines), per `boom-overlog` module (Rust lines), and per shipped
+/// Overlog program (rules and lines), all counted as in [`size_table`].
+pub fn size_json() -> String {
+    let root = repo_root();
+    let mut cases = Vec::new();
+    let mut crates: Vec<(String, PathBuf)> = std::fs::read_dir(root.join("crates"))
+        .into_iter()
+        .flatten()
+        .flatten()
+        .map(|e| {
+            let name = format!("boom-{}", e.file_name().to_string_lossy());
+            (name, e.path().join("src"))
+        })
+        .filter(|(_, src)| src.is_dir())
+        .collect();
+    crates.push(("boom".into(), root.join("src")));
+    crates.sort();
+    for (name, dir) in &crates {
+        cases.push(format!(
+            "{{\"kind\":\"crate\",\"name\":\"{name}\",\"rust_lines\":{}}}",
+            rust_loc_of_dir(dir)
+        ));
+    }
+    for (rel, path) in files_with_ext(&root.join("crates/overlog/src"), "rs") {
+        cases.push(format!(
+            "{{\"kind\":\"module\",\"name\":\"overlog/{rel}\",\"rust_lines\":{}}}",
+            rust_loc_of_file(&path)
+        ));
+    }
+    for (rel, path) in files_with_ext(&root.join("crates"), "olg") {
+        let (rules, lines) = source_stats(&std::fs::read_to_string(&path).unwrap_or_default());
+        let name = rel.replace("/src/olg/", "/");
+        cases.push(format!(
+            "{{\"kind\":\"program\",\"name\":\"{name}\",\"rules\":{rules},\"olg_lines\":{lines}}}"
+        ));
+    }
+    format!(
+        "{{\"experiment\":\"e1_code_size\",\"cases\":[{}]}}\n",
+        cases.join(",\n")
+    )
+}
+
 /// Render the table like the paper's LoC table.
 pub fn render_size_table(rows: &[SizeRow]) -> String {
     let mut out = String::new();
@@ -185,5 +251,19 @@ mod tests {
         assert!(runtime.rust_lines > 1_000);
         let rendered = render_size_table(&rows);
         assert!(rendered.contains("TOTAL"));
+    }
+
+    #[test]
+    fn json_covers_crates_modules_and_programs() {
+        let j = size_json();
+        for needle in [
+            "\"name\":\"boom-overlog\",\"rust_lines\":",
+            "\"name\":\"overlog/runtime.rs\"",
+            "\"name\":\"overlog/analysis/maint.rs\"",
+            "\"name\":\"fs/namenode.olg\",\"rules\":",
+            "\"name\":\"paxos/paxos.olg\"",
+        ] {
+            assert!(j.contains(needle), "{needle} missing from {j}");
+        }
     }
 }

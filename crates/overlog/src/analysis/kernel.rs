@@ -1,7 +1,5 @@
-//! Kernel-specialization analysis: which semi-naive variants compile to
-//! specialized kernels, which fall back to generic `Value` probes, and
-//! which run fully interpreted — plus *why*, and whether a program change
-//! would fix it.
+//! Kernel-specialization analysis: which semi-naive variants probe their
+//! indexes with typed `i64` keys and which hash tagged `Value`s.
 //!
 //! The verdicts themselves come from the planner ([`crate::kernel`]
 //! compiles every variant and records a [`KernelVerdict`]); this pass
@@ -39,19 +37,6 @@ pub struct RuleKernelReport {
     /// inferred type is a concrete key type: declaring the column would
     /// upgrade the kernel to typed `i64` probes.
     pub refinable: Vec<(String, usize)>,
-}
-
-impl RuleKernelReport {
-    /// True when some variant has a kernel-unlocking program fix: an
-    /// interpreted fallback the compiler marked fixable, or a generic
-    /// probe over a refinable column.
-    pub fn fixable(&self) -> bool {
-        !self.refinable.is_empty()
-            || self
-                .variants
-                .iter()
-                .any(|(_, v)| matches!(v, KernelVerdict::Interpreted { fixable: true, .. }))
-    }
 }
 
 /// Whole-program kernel-specialization report, aligned with
@@ -136,7 +121,7 @@ pub fn analyze(ctx: &ProgramContext, rule_ok: &[bool], catalog: &TypedCatalog) -
 pub fn render(report: &KernelReport) -> String {
     let mut s = String::from(
         "kernel specialization (typed i64 probes where declared column types \
-         allow; BOOM_KERNELS=0 forces interpreted):\n",
+         allow):\n",
     );
     for r in &report.rules {
         s.push_str(&format!("  rule `{}` -> {}:\n", r.label, r.head));
@@ -191,12 +176,6 @@ pub fn render_json(report: &KernelReport) -> String {
                         cols.join(",")
                     ));
                 }
-                KernelVerdict::Interpreted { reason, fixable } => out.push_str(&format!(
-                    "{{\"delta\":{},\"verdict\":\"interpreted\",\"reason\":{},\
-                     \"fixable\":{fixable}}}",
-                    json_string(delta),
-                    json_string(reason)
-                )),
             }
         }
         out.push(']');
@@ -264,26 +243,23 @@ mod tests {
             .any(|(_, v)| matches!(v, KernelVerdict::Generic { .. }));
         assert!(generic, "{:?}", entry.variants);
         assert_eq!(entry.refinable, vec![("u".to_string(), 0)]);
-        assert!(entry.fixable());
     }
 
     #[test]
-    fn nested_expression_is_fixable_interpreted() {
+    fn nested_expressions_and_aggregates_compile() {
         let r = kernel_report(
             "define(t, keys(0), {Int, Int});
              define(o, keys(0), {Int, Int});
-             o(X, Y) :- t(X, N), Y := (N + 1) * 2;",
+             define(m, keys(0), {Int, Int});
+             o(X, Y) :- t(X, N), Y := (N + 1) * 2;
+             m(X, max<Y>) :- o(X, Y), Y > abs(X - 3);",
         );
-        let entry = &r.rules[0];
-        assert!(
-            entry
-                .variants
-                .iter()
-                .any(|(_, v)| matches!(v, KernelVerdict::Interpreted { fixable: true, .. })),
-            "{:?}",
-            entry.variants
-        );
-        assert!(entry.fixable());
+        for entry in &r.rules {
+            assert!(!entry.variants.is_empty(), "{entry:?}");
+            for (_, v) in &entry.variants {
+                assert!(matches!(v, KernelVerdict::Typed { .. }), "{v}");
+            }
+        }
     }
 
     #[test]

@@ -66,27 +66,23 @@ pub(super) fn run(
     stale_watches(ctx, out);
     dead_columns(ctx, rule_ok, out);
     hot_full_recompute_views(ctx, cost, maint, out);
-    hot_uncompiled_rules(ctx, cost, kernel, out);
+    hot_untyped_probe_rules(ctx, cost, kernel, out);
 }
 
 /// W0011: a *hot* rule — its body joins a table the cardinality model
-/// marks big — that falls off the compiled-kernel fast path for a reason
-/// the kernel pass calls *fixable*: a probe column left undeclared that
-/// inference already pins to `Int` (one declaration away from typed `i64`
-/// probes), or a nested expression that a `:=` split would flatten into
-/// kernel form. Every delta through such a rule pays interpreter or
-/// tagged-`Value` hashing overhead the program's own types say it
-/// shouldn't.
-fn hot_uncompiled_rules(
+/// marks big — whose kernel probes a column through tagged-`Value`
+/// hashing although inference already pins that column to `Int`: one
+/// declaration away from typed `i64` probes.
+fn hot_untyped_probe_rules(
     ctx: &ProgramContext,
     cost: &CostModel,
     kernel: &KernelReport,
     out: &mut Vec<Diagnostic>,
 ) {
     for entry in &kernel.rules {
-        if entry.variants.is_empty() || !entry.fixable() {
+        let Some((table, col)) = entry.refinable.first() else {
             continue;
-        }
+        };
         let rule = &ctx.rules[entry.rule_index];
         let Some((big, rows)) = rule
             .positive_predicates()
@@ -96,40 +92,20 @@ fn hot_uncompiled_rules(
         else {
             continue;
         };
-        let (what, help) = if let Some((table, col)) = entry.refinable.first() {
-            (
-                format!(
-                    "probes `{table}` column {col} through tagged-Value hashing,                      yet inference pins that column to Int"
-                ),
-                "declare the column's type in the `define` so the planner emits                  typed i64 probes; see the kernel verdicts in `olgcheck analyze`",
-            )
-        } else {
-            let reason = entry
-                .variants
-                .iter()
-                .find_map(|(_, v)| match v {
-                    crate::kernel::KernelVerdict::Interpreted {
-                        reason,
-                        fixable: true,
-                    } => Some(reason.as_str()),
-                    _ => None,
-                })
-                .unwrap_or("interpreted fallback");
-            (
-                format!("runs interpreted: {reason}"),
-                "split the nested expression into `:=` assignment steps so every                  sub-expression is flat; see the kernel verdicts in `olgcheck                  analyze`",
-            )
-        };
         out.push(
             Diagnostic::warning(
                 "W0011",
                 rule.span,
                 format!(
-                    "rule `{}` joins `{big}` (~{rows:.0} rows) but {what}",
+                    "rule `{}` joins `{big}` (~{rows:.0} rows) but probes `{table}` column \
+                     {col} through tagged-Value hashing, yet inference pins that column to Int",
                     entry.label
                 ),
             )
-            .with_help(help),
+            .with_help(
+                "declare the column's type in the `define` so the planner emits typed i64 \
+                 probes; see the kernel verdicts in `olgcheck analyze`",
+            ),
         );
     }
 }
@@ -833,9 +809,9 @@ mod tests {
     }
 
     #[test]
-    fn cold_uncompiled_rule_is_not_w0011() {
-        // Same refinable shape, but every body table is small: interpreter
-        // overhead on a cold rule is noise, not a finding.
+    fn cold_untyped_probe_rule_is_not_w0011() {
+        // Same refinable shape, but every body table is small: tagged
+        // hashing on a cold rule is noise, not a finding.
         let src = "event e, {Int, Int};
                    define(idx, keys(0), {Int, Int});
                    define(u, keys(0), {Value, Value});

@@ -36,7 +36,7 @@
 //! | W0008 | retired with intra-node parallel evaluation (DESIGN.md §14); not reused |
 //! | W0009 | retired with intra-node parallel evaluation (DESIGN.md §14); not reused |
 //! | W0010 | hot view recomputes wholesale for a fixable reason |
-//! | W0011 | hot rule falls off the compiled-kernel path for a fixable reason |
+//! | W0011 | hot rule probes an undeclared column that inference pins to `Int` (tagged-`Value` hashing) |
 //!
 //! Beyond diagnostics, [`report`] runs the semantic passes — monotonicity
 //! / CALM classification ([`mono`]), whole-program type inference

@@ -1,38 +1,36 @@
-//! Plan-time kernel compiler: specialize rule variants into monomorphic
-//! scan/probe programs over direct column addressing.
+//! Plan-time kernel compiler: every planned rule variant becomes a
+//! monomorphic scan/probe program over direct column addressing, and the
+//! kernel is the runtime's only rule evaluator.
 //!
-//! The interpreted evaluator ([`crate::runtime`]) executes a variant by
-//! threading a `Vec<Option<Value>>` environment through pattern
-//! dispatch: every column touch goes bind-slot → env → `eval_cexpr`.
-//! This module compiles each planned [`Variant`] — once, at plan build —
-//! into a [`Kernel`]: the same operator sequence with every slot
-//! reference resolved to a *place* (a column of a scan level, an
-//! assignment register, or a constant), so the runtime executes joins
-//! without consulting an environment at all, and index probes over
-//! all-`int` key columns hash raw `i64`s into the integer-keyed buckets
-//! of the column set's one index ([`crate::table::Table::lookup_int`]).
+//! [`compile_variant`] walks a planned [`crate::plan::Variant`] once, at
+//! plan build, and resolves every slot reference to a *place*: a column
+//! of a scan level, an assignment register, or a constant. Expressions compile to a
+//! [`KExpr`] tree with places at its leaves (nested arithmetic, unary
+//! operators, builtin calls, list construction and short-circuit
+//! `&&`/`||`), so compilation is total: every variant gets a [`Kernel`].
+//! The runtime executes joins without an environment, and index probes
+//! over all-`int` key columns hash raw `i64`s into the integer-keyed
+//! buckets of the column set's one index
+//! ([`crate::table::Table::lookup_int`]); a probe whose runtime value is
+//! not an `int` hashes the tagged `Value` into the same index instead.
 //!
-//! Compilation is total but execution is not: a variant whose
-//! expressions defeat flattening (builtin calls, short-circuit booleans,
-//! list construction, nested arithmetic) gets no kernel and runs on the
-//! interpreted path forever; a kernelized variant still falls back
-//! per-probe to generic `Value` hashing whenever a runtime probe value
-//! is not an `int` (the *fallback lattice*: typed probe → generic probe
-//! → interpreted). Every fallback is semantics-free — the kernel
-//! mirrors the interpreter's candidate selection, recheck-exemption and
-//! emission order exactly, which `tests/engine_equiv.rs` enforces as
-//! byte-identical state fingerprints.
+//! Aggregate rules compile too: their kernel head projects the group-key
+//! expressions, then one column per aggregate input (`count<*>` has none),
+//! and the runtime folds those rows.
 //!
-//! The per-variant [`KernelVerdict`] feeds `olgcheck analyze` (the
-//! `kernel` report section) and the W0011 lint, mirroring how maintenance
-//! verdicts flow out of the planner.
+//! The per-variant [`KernelVerdict`] (typed or generic probes) feeds
+//! `olgcheck analyze` (the `kernel` report section) and the W0011 lint,
+//! mirroring how maintenance verdicts flow out of the planner.
 
+use std::borrow::Cow;
 use std::fmt;
 
-use crate::ast::BinOp;
+use crate::ast::{BinOp, UnOp};
+use crate::builtins::Builtins;
+use crate::error::{OverlogError, Result};
 use crate::ids::TableId;
-use crate::plan::{CExpr, CHeadArg, Op, Pat, Variant};
-use crate::value::{TypeTag, Value};
+use crate::plan::{CExpr, CHeadArg, Op, Pat};
+use crate::value::{eval_binop, eval_unop, Row, TypeTag, Value};
 
 /// Where a kernel operand's value lives at run time.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,12 +43,23 @@ pub enum KOperand {
     Reg(usize),
 }
 
-/// A flattened scalar expression: one operand, or one binary operation
-/// over two operands. Anything deeper defeats kernel compilation.
+/// A compiled scalar expression: a tree whose leaves are places.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KExpr {
     Operand(KOperand),
-    Binary(BinOp, KOperand, KOperand),
+    /// A strict binary operator (never `&&`/`||`): both sides evaluate,
+    /// left first.
+    Binary(BinOp, Box<KExpr>, Box<KExpr>),
+    /// `a && b`: `b` is evaluated only when `a` is truthy.
+    And(Box<KExpr>, Box<KExpr>),
+    /// `a || b`: `b` is evaluated only when `a` is falsy.
+    Or(Box<KExpr>, Box<KExpr>),
+    Unary(UnOp, Box<KExpr>),
+    /// A builtin call, resolved by name through [`Builtins`] at run time
+    /// (hosts may register builtins after loading a program). Arguments
+    /// evaluate left to right.
+    Call(String, Vec<KExpr>),
+    List(Vec<KExpr>),
 }
 
 /// One non-constant column equality check inside a scan.
@@ -61,21 +70,18 @@ pub struct KCheck {
     /// Expression the column must equal.
     pub expr: KExpr,
     /// The column participates in the index probe: skip the recheck when
-    /// the candidate bucket is exact (mirrors the interpreter's
-    /// recheck-exemption rule).
+    /// the candidate bucket is exact.
     pub indexed: bool,
 }
 
 /// Kernel operator: the compiled twin of [`Op`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum KOp {
-    /// Iterate candidate rows of `tid`, stacking each at `level`.
+    /// Iterate candidate rows of `tid`, stacking each on the level stack
+    /// (the n-th scan of the kernel fills level n).
     Scan {
         tid: TableId,
-        /// Scan depth: candidate rows land at `levels[level]`.
-        level: usize,
-        /// Declared arity (rows of other widths are skipped, as in the
-        /// interpreter).
+        /// Declared arity (rows of other widths are skipped).
         arity: usize,
         /// This is the variant's delta scan: read the delta slice when
         /// one is supplied.
@@ -115,35 +121,30 @@ pub enum KOp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Kernel {
     pub ops: Vec<KOp>,
-    /// Head projection, one expression per head column.
+    /// Head projection. A plain rule projects one expression per head
+    /// column; an aggregate rule projects its group-key expressions, then
+    /// one input column per aggregate that has an input variable.
     pub head: Vec<KExpr>,
-    /// Number of scan levels (candidate-row stack depth).
-    pub levels: usize,
     /// Number of assignment registers.
     pub regs: usize,
+    /// The table scanned at each level, in scan order: a derivation's
+    /// provenance witness pairs each with the row stacked there.
+    pub level_tids: Vec<TableId>,
 }
 
-/// How specialized a variant's execution is — the fallback lattice.
+/// How specialized a variant's index probes are.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KernelVerdict {
-    /// Fully specialized: every index probe runs over typed `i64` keys.
+    /// Every index probe runs over typed `i64` keys.
     Typed {
         /// Number of int-keyed index probes (0 = scan/filter only).
         int_probes: usize,
     },
-    /// Specialized control flow, but some probes hash tagged `Value`s
-    /// because a probed column is not declared `int`.
+    /// Some probes hash tagged `Value`s because a probed column is not
+    /// declared `int`.
     Generic {
         /// The offending `(table, column)` pairs, in probe order.
         value_cols: Vec<(String, usize)>,
-    },
-    /// No kernel: the variant runs interpreted.
-    Interpreted {
-        /// What defeated compilation.
-        reason: String,
-        /// A program change (splitting a nested expression into `:=`
-        /// steps) would unlock a kernel.
-        fixable: bool,
     },
 }
 
@@ -169,13 +170,6 @@ impl fmt::Display for KernelVerdict {
                 "kernel(generic, value-probes={})",
                 Self::value_cols_label(value_cols)
             ),
-            KernelVerdict::Interpreted { reason, fixable } => {
-                if *fixable {
-                    write!(f, "interpreted(fixable: {reason})")
-                } else {
-                    write!(f, "interpreted({reason})")
-                }
-            }
         }
     }
 }
@@ -187,78 +181,45 @@ pub struct KernelPlan {
     pub verdicts: Vec<Vec<KernelVerdict>>,
 }
 
-/// Compile one planned variant into a kernel, or explain why not.
+/// Compile one planned variant's operators into a kernel.
 ///
 /// `col_type` resolves a table column to its *declared* type (the
 /// soundness source for typed probes: inserts only typecheck declared
 /// types, so only declared-`int` columns provably hold ints);
-/// `table_name` resolves dense ids for verdict labels.
+/// `table_name` resolves dense ids for verdict labels. Every planned
+/// variant compiles: an error here means the planner emitted a slot read
+/// before its binding, an internal plan error.
 pub fn compile_variant(
-    variant: &Variant,
-    head_args: &[CHeadArg],
-    nslots: usize,
-    aggregate: bool,
-    col_type: &dyn Fn(TableId, usize) -> TypeTag,
-    table_name: &dyn Fn(TableId) -> String,
-) -> (Option<Kernel>, KernelVerdict) {
-    if aggregate {
-        // Group folds run through `fold_groups` on env vectors; the
-        // kernel has no aggregation machinery.
-        return (
-            None,
-            KernelVerdict::Interpreted {
-                reason: "aggregate fold".into(),
-                fixable: false,
-            },
-        );
-    }
-    match try_compile(variant, head_args, nslots, col_type, table_name) {
-        Ok((kernel, verdict)) => (Some(kernel), verdict),
-        Err((reason, fixable)) => (None, KernelVerdict::Interpreted { reason, fixable }),
-    }
-}
-
-/// Compilation failure: human-readable reason plus whether a program
-/// rewrite would fix it.
-type Defeat = (String, bool);
-
-fn try_compile(
-    variant: &Variant,
+    ops_in: &[Op],
+    delta_pred: Option<usize>,
     head_args: &[CHeadArg],
     nslots: usize,
     col_type: &dyn Fn(TableId, usize) -> TypeTag,
     table_name: &dyn Fn(TableId) -> String,
-) -> Result<(Kernel, KernelVerdict), Defeat> {
+) -> Result<(Kernel, KernelVerdict)> {
     let mut origins: Vec<Option<KOperand>> = vec![None; nslots];
-    let mut ops = Vec::with_capacity(variant.ops.len());
-    let mut levels = 0usize;
+    let mut ops = Vec::with_capacity(ops_in.len());
+    let mut level_tids = Vec::new();
     let mut regs = 0usize;
     let mut int_probes = 0usize;
     let mut value_cols: Vec<(String, usize)> = Vec::new();
 
-    for op in &variant.ops {
+    for op in ops_in {
         match op {
             Op::Scan {
                 tid,
                 pred_idx,
                 pats,
                 index_cols,
-                bind_slots: _,
                 const_checks,
             } => {
                 // Probes are evaluated before rows are iterated, so they
-                // must flatten against *pre-scan* origins only (the
-                // planner guarantees boundness; this guarantees we never
+                // compile against *pre-scan* origins only (the planner
+                // guarantees boundness; this guarantees we never
                 // reference a column of the row being probed for).
-                let mut probes = Vec::with_capacity(index_cols.len());
-                for &c in index_cols {
-                    let Pat::Check(e) = &pats[c] else {
-                        return Err(("index column is not a check".into(), false));
-                    };
-                    probes.push(flatten(e, &origins)?);
-                }
-                let level = levels;
-                levels += 1;
+                let probes = compile_probes(pats, index_cols, &origins)?;
+                let level = level_tids.len();
+                level_tids.push(*tid);
                 for (c, pat) in pats.iter().enumerate() {
                     if let Pat::Bind(slot) = pat {
                         origins[*slot] = Some(KOperand::Col { level, col: c });
@@ -266,19 +227,7 @@ fn try_compile(
                 }
                 // Checks run after binds: duplicate-variable patterns
                 // legally reference same-row columns.
-                let mut checks = Vec::new();
-                for (c, pat) in pats.iter().enumerate() {
-                    if let Pat::Check(e) = pat {
-                        if matches!(e, CExpr::Lit(_)) {
-                            continue; // covered by const_checks
-                        }
-                        checks.push(KCheck {
-                            col: c,
-                            expr: flatten(e, &origins)?,
-                            indexed: index_cols.contains(&c),
-                        });
-                    }
-                }
+                let checks = compile_checks(pats, index_cols, &origins)?;
                 let int_probe = probe_typing(
                     *tid,
                     index_cols,
@@ -289,9 +238,8 @@ fn try_compile(
                 );
                 ops.push(KOp::Scan {
                     tid: *tid,
-                    level,
                     arity: pats.len(),
-                    is_delta: variant.delta_pred == Some(*pred_idx),
+                    is_delta: delta_pred == Some(*pred_idx),
                     index_cols: index_cols.clone(),
                     probes,
                     int_probe,
@@ -305,32 +253,11 @@ fn try_compile(
                 index_cols,
                 const_checks,
             } => {
-                let mut probes = Vec::with_capacity(index_cols.len());
-                for &c in index_cols {
-                    let Pat::Check(e) = &pats[c] else {
-                        return Err(("index column is not a check".into(), false));
-                    };
-                    probes.push(flatten(e, &origins)?);
+                if pats.iter().any(|p| matches!(p, Pat::Bind(_))) {
+                    return Err(internal("bind pattern in negated scan"));
                 }
-                let mut checks = Vec::new();
-                for (c, pat) in pats.iter().enumerate() {
-                    match pat {
-                        Pat::Wild => {}
-                        Pat::Check(e) => {
-                            if matches!(e, CExpr::Lit(_)) {
-                                continue;
-                            }
-                            checks.push(KCheck {
-                                col: c,
-                                expr: flatten(e, &origins)?,
-                                indexed: index_cols.contains(&c),
-                            });
-                        }
-                        Pat::Bind(_) => {
-                            return Err(("bind pattern in negated scan".into(), false));
-                        }
-                    }
-                }
+                let probes = compile_probes(pats, index_cols, &origins)?;
+                let checks = compile_checks(pats, index_cols, &origins)?;
                 let int_probe = probe_typing(
                     *tid,
                     index_cols,
@@ -349,9 +276,9 @@ fn try_compile(
                     checks,
                 });
             }
-            Op::Filter(e) => ops.push(KOp::Filter(flatten(e, &origins)?)),
+            Op::Filter(e) => ops.push(KOp::Filter(compile_expr(e, &origins)?)),
             Op::Assign(slot, e) => {
-                let expr = flatten(e, &origins)?;
+                let expr = compile_expr(e, &origins)?;
                 let r = regs;
                 regs += 1;
                 origins[*slot] = Some(KOperand::Reg(r));
@@ -362,9 +289,13 @@ fn try_compile(
 
     let mut head = Vec::with_capacity(head_args.len());
     for arg in head_args {
-        match arg {
-            CHeadArg::Expr(e) => head.push(flatten(e, &origins)?),
-            CHeadArg::Agg(_, _) => return Err(("aggregate fold".into(), false)),
+        if let CHeadArg::Expr(e) = arg {
+            head.push(compile_expr(e, &origins)?);
+        }
+    }
+    for arg in head_args {
+        if let CHeadArg::Agg(_, Some(slot)) = arg {
+            head.push(KExpr::Operand(origin(*slot, &origins)?));
         }
     }
 
@@ -377,11 +308,54 @@ fn try_compile(
         Kernel {
             ops,
             head,
-            levels,
             regs,
+            level_tids,
         },
         verdict,
     ))
+}
+
+fn internal(what: &str) -> OverlogError {
+    OverlogError::Eval(format!("internal plan error: {what}"))
+}
+
+/// Compile the probe expressions of a scan's index columns.
+fn compile_probes(
+    pats: &[Pat],
+    index_cols: &[usize],
+    origins: &[Option<KOperand>],
+) -> Result<Vec<KExpr>> {
+    index_cols
+        .iter()
+        .map(|&c| match &pats[c] {
+            Pat::Check(e) => compile_expr(e, origins),
+            _ => Err(internal("index column is not a check")),
+        })
+        .collect()
+}
+
+/// Compile a scan's non-literal check columns, in column order (literal
+/// checks are the scan's `const_checks`).
+fn compile_checks(
+    pats: &[Pat],
+    index_cols: &[usize],
+    origins: &[Option<KOperand>],
+) -> Result<Vec<KCheck>> {
+    let mut checks = Vec::new();
+    for (c, pat) in pats.iter().enumerate() {
+        if let Pat::Check(e) = pat {
+            if !matches!(e, CExpr::Lit(_)) {
+                checks.push(KCheck {
+                    col: c,
+                    expr: compile_expr(e, origins)?,
+                    indexed: index_cols.contains(&c),
+                });
+            }
+        }
+    }
+    // Kernels live as long as the plan: keep exactly what they use.
+    checks.shrink_to_fit();
+    Ok(checks)
 }
 
 /// Classify one scan's probe: typed (`true`) when every probed column is
@@ -413,35 +387,109 @@ fn probe_typing(
     }
 }
 
-/// Flatten a planned expression into a kernel expression: a place, or
-/// one binary op over two places.
-fn flatten(e: &CExpr, origins: &[Option<KOperand>]) -> Result<KExpr, Defeat> {
-    match e {
-        CExpr::Binary(op, a, b) if !matches!(op, BinOp::And | BinOp::Or) => {
-            Ok(KExpr::Binary(*op, place(a, origins)?, place(b, origins)?))
-        }
-        _ => Ok(KExpr::Operand(place(e, origins)?)),
+/// The place a slot was bound to.
+fn origin(slot: usize, origins: &[Option<KOperand>]) -> Result<KOperand> {
+    origins
+        .get(slot)
+        .cloned()
+        .flatten()
+        .ok_or_else(|| internal(&format!("slot {slot} read before any binding")))
+}
+
+/// Compile a planned expression against the places bound so far. With no
+/// origins it compiles constant expressions (facts).
+pub(crate) fn compile_expr(e: &CExpr, origins: &[Option<KOperand>]) -> Result<KExpr> {
+    let sub = |e: &CExpr| compile_expr(e, origins).map(Box::new);
+    let all = |es: &[CExpr]| -> Result<Vec<KExpr>> {
+        es.iter().map(|e| compile_expr(e, origins)).collect()
+    };
+    Ok(match e {
+        CExpr::Lit(v) => KExpr::Operand(KOperand::Const(v.clone())),
+        CExpr::Slot(s) => KExpr::Operand(origin(*s, origins)?),
+        CExpr::Binary(BinOp::And, a, b) => KExpr::And(sub(a)?, sub(b)?),
+        CExpr::Binary(BinOp::Or, a, b) => KExpr::Or(sub(a)?, sub(b)?),
+        CExpr::Binary(op, a, b) => KExpr::Binary(*op, sub(a)?, sub(b)?),
+        CExpr::Unary(op, a) => KExpr::Unary(*op, sub(a)?),
+        CExpr::Call(f, args) => KExpr::Call(f.clone(), all(args)?),
+        CExpr::List(items) => KExpr::List(all(items)?),
+    })
+}
+
+/// Resolve a kernel operand to its place: a borrowed value, no
+/// environment consulted. `levels` holds *borrowed* candidate rows —
+/// the kernel stack never clones an `Arc` per scanned row.
+pub(crate) fn resolve<'a>(op: &'a KOperand, levels: &[&'a Row], regs: &'a [Value]) -> &'a Value {
+    match op {
+        KOperand::Const(v) => v,
+        KOperand::Col { level, col } => &levels[*level][*col],
+        KOperand::Reg(r) => &regs[*r],
     }
 }
 
-/// Resolve an expression to a single place, or explain the defeat.
-fn place(e: &CExpr, origins: &[Option<KOperand>]) -> Result<KOperand, Defeat> {
+/// Evaluate an expression, borrowing when it is a bare place: comparisons
+/// and probes over plain operands clone nothing.
+fn eval_ref<'a>(
+    e: &'a KExpr,
+    levels: &[&'a Row],
+    regs: &'a [Value],
+    b: &Builtins,
+) -> Result<Cow<'a, Value>> {
     match e {
-        CExpr::Lit(v) => Ok(KOperand::Const(v.clone())),
-        CExpr::Slot(s) => origins
-            .get(*s)
-            .cloned()
-            .flatten()
-            .ok_or_else(|| ("slot read before any binding".into(), false)),
-        CExpr::Binary(BinOp::And | BinOp::Or, _, _) => Err(("short-circuit boolean".into(), false)),
-        // A nested arithmetic operand *could* be kernelized by splitting
-        // the expression into `:=` assignment steps — worth a lint nudge
-        // (W0011), unlike the hard defeats below.
-        CExpr::Binary(_, _, _) => Err(("nested expression".into(), true)),
-        CExpr::Unary(_, _) => Err(("unary operator".into(), false)),
-        CExpr::Call(f, _) => Err((format!("builtin call {f}()"), false)),
-        CExpr::List(_) => Err(("list construction".into(), false)),
+        KExpr::Operand(o) => Ok(Cow::Borrowed(resolve(o, levels, regs))),
+        _ => eval(e, levels, regs, b).map(Cow::Owned),
     }
+}
+
+/// Evaluate a kernel expression to an owned value.
+pub(crate) fn eval(e: &KExpr, levels: &[&Row], regs: &[Value], b: &Builtins) -> Result<Value> {
+    match e {
+        KExpr::Operand(o) => Ok(resolve(o, levels, regs).clone()),
+        KExpr::Binary(op, x, y) => {
+            let va = eval_ref(x, levels, regs, b)?;
+            let vb = eval_ref(y, levels, regs, b)?;
+            eval_binop(*op, &va, &vb)
+        }
+        KExpr::And(..) | KExpr::Or(..) => Ok(Value::Bool(truthy(e, levels, regs, b)?)),
+        KExpr::Unary(op, x) => {
+            let v = eval_ref(x, levels, regs, b)?;
+            eval_unop(*op, &v)
+        }
+        KExpr::Call(f, args) => {
+            let vals = args
+                .iter()
+                .map(|a| eval(a, levels, regs, b))
+                .collect::<Result<Vec<_>>>()?;
+            b.call(f, &vals)
+        }
+        KExpr::List(items) => Ok(Value::list(
+            items
+                .iter()
+                .map(|i| eval(i, levels, regs, b))
+                .collect::<Result<Vec<_>>>()?,
+        )),
+    }
+}
+
+/// Truthiness of a kernel expression (filters), short-circuiting `&&`
+/// and `||` without building intermediate `Bool`s.
+pub(crate) fn truthy(e: &KExpr, levels: &[&Row], regs: &[Value], b: &Builtins) -> Result<bool> {
+    match e {
+        KExpr::And(x, y) => Ok(truthy(x, levels, regs, b)? && truthy(y, levels, regs, b)?),
+        KExpr::Or(x, y) => Ok(truthy(x, levels, regs, b)? || truthy(y, levels, regs, b)?),
+        _ => Ok(eval_ref(e, levels, regs, b)?.truthy()),
+    }
+}
+
+/// Does the candidate row satisfy one column check? Operand checks (the
+/// common case — join columns) compare borrowed values with zero clones.
+pub(crate) fn check(
+    ch: &KCheck,
+    row: &Row,
+    levels: &[&Row],
+    regs: &[Value],
+    b: &Builtins,
+) -> Result<bool> {
+    Ok(*eval_ref(&ch.expr, levels, regs, b)? == row[ch.col])
 }
 
 #[cfg(test)]
@@ -465,60 +513,75 @@ mod tests {
             .to_string(),
             "kernel(generic, value-probes=hb.1+fqpath.0)"
         );
-        assert_eq!(
-            KernelVerdict::Interpreted {
-                reason: "builtin call qid()".into(),
-                fixable: false
-            }
-            .to_string(),
-            "interpreted(builtin call qid())"
-        );
-        assert_eq!(
-            KernelVerdict::Interpreted {
-                reason: "nested expression".into(),
-                fixable: true
-            }
-            .to_string(),
-            "interpreted(fixable: nested expression)"
-        );
+    }
+
+    fn slot(s: usize) -> Box<CExpr> {
+        Box::new(CExpr::Slot(s))
+    }
+
+    fn lit(i: i64) -> Box<CExpr> {
+        Box::new(CExpr::Lit(Value::Int(i)))
     }
 
     #[test]
-    fn flatten_shapes() {
+    fn expressions_compile_to_place_trees() {
         let origins = vec![Some(KOperand::Col { level: 0, col: 2 }), None];
-        // Slot with an origin resolves to its place.
-        let e = CExpr::Slot(0);
-        assert_eq!(
-            flatten(&e, &origins).unwrap(),
-            KExpr::Operand(KOperand::Col { level: 0, col: 2 })
-        );
-        // One binary over places flattens.
-        let e = CExpr::Binary(
-            BinOp::Add,
-            Box::new(CExpr::Slot(0)),
-            Box::new(CExpr::Lit(Value::Int(1))),
-        );
-        assert!(matches!(
-            flatten(&e, &origins),
-            Ok(KExpr::Binary(BinOp::Add, _, _))
-        ));
-        // Nested arithmetic is a *fixable* defeat.
+        let col = KExpr::Operand(KOperand::Col { level: 0, col: 2 });
+        assert_eq!(compile_expr(&CExpr::Slot(0), &origins).unwrap(), col);
+        // Nested arithmetic, calls and short-circuit booleans all compile.
         let nested = CExpr::Binary(
             BinOp::Add,
+            Box::new(CExpr::Binary(BinOp::Mul, slot(0), lit(2))),
+            lit(1),
+        );
+        assert!(matches!(
+            compile_expr(&nested, &origins).unwrap(),
+            KExpr::Binary(BinOp::Add, ref a, _) if matches!(**a, KExpr::Binary(BinOp::Mul, _, _))
+        ));
+        let call = CExpr::Call("qid".into(), vec![]);
+        assert_eq!(
+            compile_expr(&call, &origins).unwrap(),
+            KExpr::Call("qid".into(), vec![])
+        );
+        let or = CExpr::Binary(BinOp::Or, slot(0), lit(1));
+        assert!(matches!(
+            compile_expr(&or, &origins).unwrap(),
+            KExpr::Or(_, _)
+        ));
+        // A slot read before its binding is an internal plan error.
+        assert!(compile_expr(&CExpr::Slot(1), &origins).is_err());
+    }
+
+    #[test]
+    fn nested_expressions_evaluate_over_places() {
+        let b = Builtins::standard();
+        let row: Row = std::sync::Arc::new(vec![Value::Int(3), Value::Int(4)]);
+        let origins = vec![
+            Some(KOperand::Col { level: 0, col: 0 }),
+            Some(KOperand::Col { level: 0, col: 1 }),
+        ];
+        // (X + 1) * Y - abs(-2)
+        let e = CExpr::Binary(
+            BinOp::Sub,
             Box::new(CExpr::Binary(
                 BinOp::Mul,
-                Box::new(CExpr::Slot(0)),
-                Box::new(CExpr::Lit(Value::Int(2))),
+                Box::new(CExpr::Binary(BinOp::Add, slot(0), lit(1))),
+                slot(1),
             )),
-            Box::new(CExpr::Lit(Value::Int(1))),
+            Box::new(CExpr::Call(
+                "abs".into(),
+                vec![CExpr::Unary(UnOp::Neg, lit(2))],
+            )),
         );
-        let (reason, fixable) = flatten(&nested, &origins).unwrap_err();
-        assert_eq!(reason, "nested expression");
-        assert!(fixable);
-        // Builtin calls are hard defeats.
-        let call = CExpr::Call("qid".into(), vec![]);
-        let (reason, fixable) = flatten(&call, &origins).unwrap_err();
-        assert_eq!(reason, "builtin call qid()");
-        assert!(!fixable);
+        let k = compile_expr(&e, &origins).unwrap();
+        assert_eq!(eval(&k, &[&row], &[], &b).unwrap(), Value::Int(14));
+        // Unknown builtins on the unevaluated side of `||` never run.
+        let or = CExpr::Binary(
+            BinOp::Or,
+            slot(0),
+            Box::new(CExpr::Call("missing".into(), vec![])),
+        );
+        let k = compile_expr(&or, &origins).unwrap();
+        assert!(truthy(&k, &[&row], &[], &b).unwrap());
     }
 }

@@ -26,12 +26,12 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Compiled expression: like [`Expr`] but variables are resolved to
-/// environment slots.
+/// slots (the kernel compiler then resolves each slot to a place).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CExpr {
     /// Constant.
     Lit(Value),
-    /// Environment slot.
+    /// Variable slot.
     Slot(usize),
     /// Binary operation.
     Binary(BinOp, Box<CExpr>, Box<CExpr>),
@@ -72,9 +72,6 @@ pub enum Op {
         /// lookups need no per-row boundness analysis and the runtime can
         /// build the index eagerly.
         index_cols: Vec<usize>,
-        /// Slots bound by this scan's `Bind` patterns, precomputed so the
-        /// evaluator's backtracking reset allocates nothing per probe.
-        bind_slots: Vec<usize>,
         /// Literal `Check` columns, extracted so the evaluator rejects
         /// non-matching rows with one direct value comparison — before
         /// binding slots or evaluating any expression. This is the fast
@@ -109,24 +106,19 @@ pub struct Variant {
     /// Which positive predicate (by index among positives) reads the delta;
     /// `None` for rules without positive predicates (run once per tick).
     pub delta_pred: Option<usize>,
-    /// Scheduled operator sequence.
-    pub ops: Vec<Op>,
-    /// The delta scan's literal `Check` columns, copied up from `ops[0]`
-    /// when the delta scan is scheduled first (empty otherwise). When no
-    /// row of a round's delta slice passes these, the evaluator skips the
-    /// variant without entering the operator machinery at all: with zero
-    /// rows surviving the first op, the remaining ops would never run, so
+    /// The delta scan's literal `Check` columns, copied up from the first
+    /// op when the delta scan is scheduled first (empty otherwise). When
+    /// no row of a round's delta slice passes these, the evaluator skips
+    /// the variant without entering the kernel at all: with zero rows
+    /// surviving the first op, the remaining ops would never run, so
     /// the skip is observationally identical (including stateful-builtin
     /// call counts). This is the tick-loop fast path for protocol
     /// dispatch, where dozens of handler rules scan the same event table
     /// and disagree only on a literal discriminator column.
     pub delta_gate: Vec<(usize, Value)>,
-    /// The variant compiled into a specialized kernel
-    /// ([`crate::kernel::compile_variant`]), when its expressions allow
-    /// one. `None` means the variant always runs interpreted; `Some`
-    /// runs through the kernel whenever `PlanOptions::kernels` is on and
-    /// provenance capture is off.
-    pub kernel: Option<Arc<kernel::Kernel>>,
+    /// The variant's scheduled operators compiled into a kernel
+    /// ([`crate::kernel::compile_variant`]): what the runtime executes.
+    pub kernel: kernel::Kernel,
 }
 
 /// Compiled head argument.
@@ -213,14 +205,9 @@ pub struct PlanOptions {
     /// input defeats the compiled strategy — so disabling this changes
     /// cost, never results.
     pub maintenance: bool,
-    /// Execute variants through their compiled kernels
-    /// ([`crate::kernel`]) where one was compiled, instead of the
-    /// interpreted operator walk. Kernels are always *compiled* (the
-    /// verdicts feed `olgcheck`); this gates only execution, and the
-    /// kernel path is byte-identical to the interpreter, so disabling it
-    /// changes cost, never results. Defaults to on; the `BOOM_KERNELS=0`
-    /// environment variable forces the interpreted path (the CI
-    /// features-matrix leg that keeps the fallback tested).
+    /// Vestigial and always `true`: compiled kernels are the only rule
+    /// evaluator (DESIGN.md §18). The field survives only because the
+    /// stack benchmark prints it; plan construction rejects `false`.
     pub kernels: bool,
 }
 
@@ -231,9 +218,7 @@ impl Default for PlanOptions {
             scoped_views: true,
             shards: 1,
             maintenance: true,
-            kernels: std::env::var("BOOM_KERNELS")
-                .map(|v| !matches!(v.as_str(), "0" | "false" | "off"))
-                .unwrap_or(true),
+            kernels: true,
         }
     }
 }
@@ -282,9 +267,8 @@ pub struct Plan {
     /// propagate retractions incrementally instead of recomputing.
     pub maint: MaintPlan,
     /// Per-rule, per-variant kernel verdicts (the [`crate::kernel`]
-    /// compiler): how specialized each variant's execution is, and why
-    /// the interpreted ones fell back. Feeds `olgcheck analyze` and the
-    /// W0011 lint.
+    /// compiler): which index probes hash typed `i64` keys. Feeds
+    /// `olgcheck analyze` and the W0011 lint.
     pub kernel: kernel::KernelPlan,
     /// The options this plan was compiled with.
     pub options: PlanOptions,
@@ -312,7 +296,8 @@ pub fn compile(decls: &HashMap<String, TableDecl>, rules: &[Rule]) -> Result<Pla
 /// declared table not yet interned is added in sorted name order so
 /// standalone compilation is deterministic. The plan keeps a snapshot.
 ///
-/// Panics if `options` sets the vestigial field to anything but 1.
+/// Panics if `options` sets a vestigial field (`shards`, `kernels`) to
+/// anything but its one legal value.
 pub fn compile_with(
     decls: &HashMap<String, TableDecl>,
     rules: &[Rule],
@@ -324,6 +309,10 @@ pub fn compile_with(
         options.shards, 1,
         "PlanOptions::shards must be 1: sharded evaluation was removed (DESIGN.md §14)"
     );
+    assert!(
+        options.kernels,
+        "PlanOptions::kernels must be true: kernels are the only evaluator (DESIGN.md §18)"
+    );
     {
         let mut names: Vec<&str> = decls.keys().map(String::as_str).collect();
         names.sort_unstable();
@@ -331,6 +320,7 @@ pub fn compile_with(
             ids.intern(n);
         }
     }
+    let ids: &TableIds = ids;
     let cost = {
         let mut deriving: HashMap<String, usize> = HashMap::new();
         for r in rules {
@@ -340,8 +330,16 @@ pub fn compile_with(
         }
         CostModel::build(decls, fact_counts, &deriving, |_| false)
     };
+    let col_type = |tid: TableId, c: usize| {
+        decls
+            .get(ids.name(tid))
+            .and_then(|d| d.types.get(c))
+            .copied()
+            .unwrap_or(TypeTag::Any)
+    };
     let mut compiled = Vec::with_capacity(rules.len());
     let mut classes = Vec::with_capacity(rules.len());
+    let mut kernel_plan = kernel::KernelPlan::default();
     for (i, rule) in rules.iter().enumerate() {
         let mut ra = analysis::validate_rule(i, rule, decls)?;
         if options.reorder_joins && rule_reorderable(rule) {
@@ -356,39 +354,9 @@ pub fn compile_with(
             }
         }
         classes.push(ra.class);
-        compiled.push(compile_rule(i, rule, &ra, ids));
-    }
-    // Specialize every variant into a kernel where its expressions
-    // allow one, recording the verdict either way. Kernels are compiled
-    // unconditionally — `options.kernels` gates execution, not
-    // compilation, so flipping it mid-run needs no recompile and the
-    // verdicts always reflect the program.
-    let mut kernel_plan = kernel::KernelPlan::default();
-    {
-        let col_type = |tid: TableId, c: usize| {
-            decls
-                .get(ids.name(tid))
-                .and_then(|d| d.types.get(c))
-                .copied()
-                .unwrap_or(TypeTag::Any)
-        };
-        let table_name = |tid: TableId| ids.name(tid).to_string();
-        for cr in compiled.iter_mut() {
-            let mut verdicts = Vec::with_capacity(cr.variants.len());
-            for v in cr.variants.iter_mut() {
-                let (k, verdict) = kernel::compile_variant(
-                    v,
-                    &cr.head_args,
-                    cr.nslots,
-                    cr.aggregate,
-                    &col_type,
-                    &table_name,
-                );
-                v.kernel = k.map(Arc::new);
-                verdicts.push(verdict);
-            }
-            kernel_plan.verdicts.push(verdicts);
-        }
+        let (cr, verdicts) = compile_rule(i, rule, &ra, ids, &col_type)?;
+        compiled.push(cr);
+        kernel_plan.verdicts.push(verdicts);
     }
     let (table_stratum, rule_strata) = analysis::stratify_rules(decls, rules, &classes)?;
     for (cr, s) in compiled.iter_mut().zip(&rule_strata) {
@@ -577,7 +545,15 @@ pub fn compile_fact_expr(e: &Expr) -> CExpr {
 /// Lower one validated rule. `ra` carries the classification and the
 /// per-variant execution orders computed by [`analysis::validate_rule`];
 /// emission just follows them, so it cannot fail.
-fn compile_rule(id: usize, rule: &Rule, ra: &RuleAnalysis, ids: &TableIds) -> CompiledRule {
+/// Lower one validated rule and compile each of its variants into a
+/// kernel, returning the per-variant kernel verdicts alongside.
+fn compile_rule(
+    id: usize,
+    rule: &Rule,
+    ra: &RuleAnalysis,
+    ids: &TableIds,
+    col_type: &dyn Fn(TableId, usize) -> TypeTag,
+) -> Result<(CompiledRule, Vec<kernel::KernelVerdict>)> {
     let label = rule.label(id);
     let positive_tables: Vec<String> = rule
         .positive_predicates()
@@ -588,34 +564,16 @@ fn compile_rule(id: usize, rule: &Rule, ra: &RuleAnalysis, ids: &TableIds) -> Co
         .map(|t| ids.get(t).expect("validated tables are interned"))
         .collect();
 
-    // Build variants following the analysis-provided orders.
+    // Emit each variant's operators following the analysis-provided
+    // orders; the head compiles after every variant so it sees the slots
+    // all of them bind.
     let mut slots = SlotMap::new();
-    let mut variants = Vec::with_capacity(ra.orders.len());
-    for (d, order) in ra.orders.iter().enumerate() {
-        let delta_pred = if positive_tables.is_empty() {
-            None
-        } else {
-            Some(d)
-        };
-        let ops = emit_ops(rule, order, &mut slots, ids);
-        let delta_gate = match (delta_pred, ops.first()) {
-            (
-                Some(d),
-                Some(Op::Scan {
-                    pred_idx,
-                    const_checks,
-                    ..
-                }),
-            ) if *pred_idx == d => const_checks.clone(),
-            _ => Vec::new(),
-        };
-        variants.push(Variant {
-            delta_pred,
-            ops,
-            delta_gate,
-            kernel: None,
-        });
-    }
+    let delta_pred = |d: usize| (!positive_tables.is_empty()).then_some(d);
+    let variant_ops: Vec<Vec<Op>> = ra
+        .orders
+        .iter()
+        .map(|order| emit_ops(rule, order, &mut slots, ids))
+        .collect();
 
     // Compile head args; safety of every head variable was already checked.
     let mut head_args = Vec::with_capacity(rule.head.args.len());
@@ -629,7 +587,39 @@ fn compile_rule(id: usize, rule: &Rule, ra: &RuleAnalysis, ids: &TableIds) -> Co
         }
     }
 
-    CompiledRule {
+    let table_name = |tid: TableId| ids.name(tid).to_string();
+    let mut variants = Vec::with_capacity(variant_ops.len());
+    let mut verdicts = Vec::with_capacity(variant_ops.len());
+    for (d, ops) in variant_ops.into_iter().enumerate() {
+        let delta_pred = delta_pred(d);
+        let delta_gate = match (delta_pred, ops.first()) {
+            (
+                Some(d),
+                Some(Op::Scan {
+                    pred_idx,
+                    const_checks,
+                    ..
+                }),
+            ) if *pred_idx == d => const_checks.clone(),
+            _ => Vec::new(),
+        };
+        let (kernel, verdict) = kernel::compile_variant(
+            &ops,
+            delta_pred,
+            &head_args,
+            slots.names.len(),
+            col_type,
+            &table_name,
+        )?;
+        verdicts.push(verdict);
+        variants.push(Variant {
+            delta_pred,
+            delta_gate,
+            kernel,
+        });
+    }
+
+    let cr = CompiledRule {
         id,
         label,
         delete: ra.class.delete,
@@ -648,7 +638,8 @@ fn compile_rule(id: usize, rule: &Rule, ra: &RuleAnalysis, ids: &TableIds) -> Co
         stratum: 0,
         nslots: slots.names.len(),
         slot_names: slots.names,
-    }
+    };
+    Ok((cr, verdicts))
 }
 
 /// Is every variable of `e` in the `bound` set? Statically mirrors the
@@ -719,20 +710,12 @@ fn emit_ops(rule: &Rule, order: &[usize], slots: &mut SlotMap, ids: &TableIds) -
                         }
                     });
                 }
-                let bind_slots = pats
-                    .iter()
-                    .filter_map(|p| match p {
-                        Pat::Bind(s) => Some(*s),
-                        _ => None,
-                    })
-                    .collect();
                 let const_checks = lit_checks(&pats);
                 ops.push(Op::Scan {
                     tid: tid_of(&p.table),
                     pred_idx: pred_counter[&bi],
                     pats,
                     index_cols,
-                    bind_slots,
                     const_checks,
                 });
             }
@@ -773,6 +756,7 @@ fn emit_ops(rule: &Rule, order: &[usize], slots: &mut SlotMap, ids: &TableIds) -
 mod tests {
     use super::*;
     use crate::error::OverlogError;
+    use crate::kernel::{KExpr, KOp, KOperand};
     use crate::parser::parse_program;
 
     fn plan_of(src: &str) -> Result<Plan> {
@@ -831,9 +815,9 @@ mod tests {
         )
         .unwrap();
         // The assignment to Y must be scheduled after the scan of q.
-        let ops = &p.rules[0].variants[0].ops;
-        assert!(matches!(ops[0], Op::Scan { .. }));
-        assert!(matches!(ops[1], Op::Assign(_, _)));
+        let ops = &p.rules[0].variants[0].kernel.ops;
+        assert!(matches!(ops[0], KOp::Scan { .. }));
+        assert!(matches!(ops[1], KOp::Assign(_, _)));
     }
 
     #[test]
@@ -941,10 +925,11 @@ mod tests {
 
     fn scan_tables(p: &Plan, rule: usize, variant: usize) -> Vec<String> {
         p.rules[rule].variants[variant]
+            .kernel
             .ops
             .iter()
             .filter_map(|op| match op {
-                Op::Scan { tid, .. } => Some(p.ids.name(*tid).to_string()),
+                KOp::Scan { tid, .. } => Some(p.ids.name(*tid).to_string()),
                 _ => None,
             })
             .collect()
@@ -1032,13 +1017,14 @@ mod tests {
              p(X) :- q(X, X);",
         )
         .unwrap();
-        let ops = &p.rules[0].variants[0].ops;
-        match &ops[0] {
-            Op::Scan {
-                pats, index_cols, ..
+        match &p.rules[0].variants[0].kernel.ops[0] {
+            KOp::Scan {
+                checks, index_cols, ..
             } => {
-                assert!(matches!(pats[0], Pat::Bind(_)));
-                assert!(matches!(pats[1], Pat::Check(CExpr::Slot(_))));
+                // Column 1 must equal column 0 of the same row.
+                let same_row = KExpr::Operand(KOperand::Col { level: 0, col: 0 });
+                assert_eq!(checks.len(), 1);
+                assert_eq!((checks[0].col, &checks[0].expr), (1, &same_row));
                 // The duplicate-variable check binds within the same scan:
                 // it cannot drive an index probe.
                 assert!(index_cols.is_empty());
@@ -1056,13 +1042,13 @@ mod tests {
              p(X, Z) :- q(X, Y), r(Y, Z);",
         )
         .unwrap();
-        let ops = &p.rules[0].variants[0].ops;
+        let ops = &p.rules[0].variants[0].kernel.ops;
         match (&ops[0], &ops[1]) {
             (
-                Op::Scan {
+                KOp::Scan {
                     index_cols: first, ..
                 },
-                Op::Scan {
+                KOp::Scan {
                     index_cols: second, ..
                 },
             ) => {
@@ -1082,9 +1068,9 @@ mod tests {
         let neg = p.rules[0]
             .variants
             .iter()
-            .flat_map(|v| &v.ops)
+            .flat_map(|v| &v.kernel.ops)
             .find_map(|op| match op {
-                Op::NegScan { index_cols, .. } => Some(index_cols.clone()),
+                KOp::NegScan { index_cols, .. } => Some(index_cols.clone()),
                 _ => None,
             })
             .unwrap();

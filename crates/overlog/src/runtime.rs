@@ -36,15 +36,15 @@
 
 use crate::analysis::maint::{AnchorEval, Bind, DredRule, KeySource, SourceDep, ViewMaint};
 use crate::analysis::{self, Diagnostic, SourceMap};
-use crate::ast::{AggKind, BinOp, UnOp};
+use crate::ast::AggKind;
 use crate::ast::{Rule, Span, Statement, TableDecl, TableKind};
 use crate::builtins::Builtins;
 use crate::error::{OverlogError, Result};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::ids::{IdSet, TableId, TableIds};
-use crate::kernel::{KCheck, KExpr, KOp, KOperand, Kernel};
+use crate::kernel::{self, KCheck, KExpr, KOp, Kernel};
 use crate::parser::parse_program;
-use crate::plan::{self, CExpr, CHeadArg, CompiledRule, Op, Pat, Plan, Variant};
+use crate::plan::{self, CHeadArg, CompiledRule, Plan, Variant};
 use crate::table::{Candidates, ColGroup, Column, InsertOutcome, Table};
 use crate::value::{Row, TypeTag, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -152,13 +152,11 @@ pub struct RuleStats {
     /// replaced a from-scratch recompute of this rule's head.
     pub maint_evals: u64,
     /// Wall-clock nanoseconds spent evaluating the body, excluding head
-    /// dispatch (insert and index bookkeeping is shared by every engine;
-    /// non-deterministic, excluded from reproducibility checks).
+    /// dispatch (non-deterministic, excluded from reproducibility checks).
     pub eval_ns: u64,
-    /// Body evaluations that ran through a compiled kernel
-    /// ([`crate::kernel`]) instead of the interpreted operator walk.
-    /// Zero for rules whose variants never compiled, or when
-    /// `PlanOptions::kernels` is off.
+    /// Variant evaluations of this rule: tick rounds, aggregate folds,
+    /// maintenance and view rebuilds. Every evaluation runs a compiled
+    /// kernel ([`crate::kernel`]), so this counts them all.
     pub kernel_evals: u64,
 }
 
@@ -456,47 +454,26 @@ struct TickCtx {
     gates: FxHashMap<(usize, usize), ColGroup>,
 }
 
-/// Pooled per-evaluation buffers: the slot environment and the index
+/// The positive body tuples behind one derived row, in scan order: its
+/// why-provenance witness (see [`ProvRecord::inputs`]).
+type Witness = Vec<(String, Row)>;
+
+/// Pooled per-evaluation buffers: the kernel registers and the index
 /// probe-key scratch. Most rule evaluations derive nothing (a delta row
 /// rarely matches more than a few of the rules scanning its table), and
 /// with these pooled such evaluations allocate nothing at all.
 #[derive(Default)]
 struct EvalScratch {
-    env: Vec<Option<Value>>,
     probe_vals: Vec<Value>,
-    /// Typed probe-key scratch for the kernel path's `i64` index lookups.
+    /// Typed probe-key scratch for `i64` index lookups.
     int_vals: Vec<i64>,
-    /// Kernel assignment registers. (The kernel candidate-row stack is a
+    /// Kernel assignment registers. (The candidate-row stack is a
     /// per-call `Vec<&Row>` — it borrows table rows, so it cannot live in
     /// the pooled scratch.)
     kregs: Vec<Value>,
-}
-
-/// Captures, for each environment a rule body emits, the positive body
-/// tuples that matched along the way. Disabled (and cost-free beyond a
-/// branch per scan) unless provenance capture is on.
-struct SupportSink {
-    enabled: bool,
-    cur: Vec<(String, Row)>,
-    out: Vec<Vec<(String, Row)>>,
-}
-
-impl SupportSink {
-    fn new(enabled: bool) -> Self {
-        SupportSink {
-            enabled,
-            cur: Vec::new(),
-            out: Vec::new(),
-        }
-    }
-
-    fn into_supports(self) -> Option<Vec<Vec<(String, Row)>>> {
-        if self.enabled {
-            Some(self.out)
-        } else {
-            None
-        }
-    }
+    /// Head values the last aggregate kernel emitted, row after row
+    /// (see [`Emit::Flat`]).
+    flat: Vec<Value>,
 }
 
 impl TickCtx {
@@ -744,8 +721,8 @@ impl OverlogRuntime {
                             span: *span,
                         });
                     }
-                    let ce = plan::compile_fact_expr(e);
-                    row.push(eval_cexpr(&ce, &[], &self.builtins)?);
+                    let k = kernel::compile_expr(&plan::compile_fact_expr(e), &[])?;
+                    row.push(kernel::eval(&k, &[], &[], &self.builtins)?);
                 }
                 *self.fact_counts.entry(table.clone()).or_default() += 1;
                 let tid = self.ids.get(table).expect("declared tables are interned");
@@ -880,12 +857,12 @@ impl OverlogRuntime {
         let plan = Arc::clone(&self.plan);
         for rule in plan.rules.iter() {
             for variant in &rule.variants {
-                for op in &variant.ops {
+                for op in &variant.kernel.ops {
                     let (tid, cols) = match op {
-                        Op::Scan {
+                        KOp::Scan {
                             tid, index_cols, ..
                         }
-                        | Op::NegScan {
+                        | KOp::NegScan {
                             tid, index_cols, ..
                         } => (tid, index_cols),
                         _ => continue,
@@ -1634,9 +1611,6 @@ impl OverlogRuntime {
                     let t0 = std::time::Instant::now();
                     let (rows, sups) =
                         self.eval_variant(rule, &rule.variants[0], None, &mut ctx.eval)?;
-                    if self.kernel_active(&rule.variants[0]) {
-                        self.rule_stats[rid].kernel_evals += 1;
-                    }
                     self.rule_stats[rid].eval_ns += t0.elapsed().as_nanos() as u64;
                     self.dispatch(rule, rows, sups, &mut ctx)?;
                 }
@@ -1696,7 +1670,6 @@ impl OverlogRuntime {
                             &ctx.added[dt][lo..hi],
                             dt,
                             &variant.delta_gate,
-                            plan.options.kernels,
                         ) {
                             GateOutcome::Skip => continue,
                             GateOutcome::Full => {}
@@ -1710,13 +1683,9 @@ impl OverlogRuntime {
                     let t0 = std::time::Instant::now();
                     let (rows, sups) =
                         self.eval_variant(rule, variant, Some(delta), &mut ctx.eval)?;
-                    if self.kernel_active(variant) {
-                        self.rule_stats[rid].kernel_evals += 1;
-                    }
                     // Stop the eval clock before dispatch: insert and
-                    // index bookkeeping is shared by every engine and
-                    // would dilute the per-rule evaluation attribution
-                    // the kernel A/B (E15) and `boomtrace profile` read.
+                    // index bookkeeping would dilute the per-rule
+                    // evaluation attribution `boomtrace profile` reads.
                     self.rule_stats[rid].eval_ns += t0.elapsed().as_nanos() as u64;
                     self.dispatch(rule, rows, sups, &mut ctx)?;
                 }
@@ -1954,7 +1923,7 @@ impl OverlogRuntime {
         &mut self,
         rule: &CompiledRule,
         rows: Vec<Row>,
-        supports: Option<Vec<Vec<(String, Row)>>>,
+        supports: Option<Vec<Witness>>,
         ctx: &mut TickCtx,
     ) -> Result<()> {
         for (i, row) in rows.into_iter().enumerate() {
@@ -2028,617 +1997,85 @@ impl OverlogRuntime {
         Ok(())
     }
 
-    /// Evaluate one rule variant; returns projected head rows plus (when
-    /// provenance capture is on) the body tuples behind each row.
+    /// Evaluate one rule variant through its kernel; returns projected
+    /// head rows plus (when provenance capture is on) the positive body
+    /// tuples behind each row.
     ///
     /// `delta_rows == None` makes the delta predicate read its full table
-    /// (used for body-less variants, aggregates, and view recomputation).
-    /// Takes `&self` — indexes are prebuilt, so the delta slice can borrow
-    /// the tick context while tables are probed in place. `scratch` holds
-    /// the pooled environment and probe-key buffers: most evaluations
-    /// derive nothing, and with pooling they allocate nothing either.
-    #[allow(clippy::type_complexity)]
+    /// (used for body-less variants and view recomputation).
     fn eval_variant(
-        &self,
+        &mut self,
         rule: &CompiledRule,
         variant: &Variant,
         delta_rows: Option<&[Row]>,
         scratch: &mut EvalScratch,
-    ) -> Result<(Vec<Row>, Option<Vec<Vec<(String, Row)>>>)> {
-        // Kernelized variants bypass the environment machinery entirely
-        // unless provenance capture needs the interpreted path's support
-        // tracking. Both paths visit the same candidates in the same
-        // order and emit the same rows — the kernel compiler mirrors
-        // this function exactly (enforced by `tests/engine_equiv.rs`).
-        if let Some(kernel) = &variant.kernel {
-            if self.plan.options.kernels && !self.prov_on {
-                return Ok((self.eval_kernel(kernel, delta_rows, scratch)?, None));
-            }
-        }
-        let mut envs: Vec<Vec<Option<Value>>> = Vec::new();
+    ) -> Result<(Vec<Row>, Option<Vec<Witness>>)> {
+        let (rows, _, sups) = self.run_kernel(rule, variant, delta_rows, scratch, false)?;
+        Ok((rows, sups))
+    }
+
+    /// Run `variant`'s kernel. Returns its head rows, or with `fold` set
+    /// leaves their values in `scratch.flat` instead (see [`Emit`]), plus
+    /// the number of rows and, when provenance capture is on, their
+    /// witnesses. Counts one `kernel_evals`. `scratch` also pools the
+    /// registers and probe-key buffers: most evaluations derive nothing,
+    /// and with pooling they allocate nothing either.
+    fn run_kernel(
+        &mut self,
+        rule: &CompiledRule,
+        variant: &Variant,
+        delta_rows: Option<&[Row]>,
+        scratch: &mut EvalScratch,
+        fold: bool,
+    ) -> Result<(Vec<Row>, usize, Option<Vec<Witness>>)> {
+        // Aggregate provenance records empty inputs: the support of a
+        // fold is the whole group, not a single join path.
+        let prov = self.prov_on && !rule.aggregate;
+        self.rule_stats[rule.id].kernel_evals += 1;
         let EvalScratch {
-            env, probe_vals, ..
-        } = scratch;
-        env.clear();
-        env.resize(rule.nslots, None);
-        let mut sup = SupportSink::new(self.prov_on);
-        self.exec_ops(
-            rule,
-            &variant.ops,
-            0,
-            variant.delta_pred,
-            delta_rows,
-            env,
-            &mut envs,
-            &mut sup,
             probe_vals,
-        )?;
-        // Project heads (non-aggregate rules only reach here).
-        let mut out = Vec::with_capacity(envs.len());
-        for env in &envs {
-            let mut row = Vec::with_capacity(rule.head_args.len());
-            for arg in &rule.head_args {
-                match arg {
-                    CHeadArg::Expr(e) => row.push(eval_cexpr(e, env, &self.builtins)?),
-                    CHeadArg::Agg(_, _) => {
-                        return Err(OverlogError::Eval(format!(
-                            "internal: aggregate rule `{}` evaluated as plain rule",
-                            rule.label
-                        )))
-                    }
-                }
-            }
-            out.push(Arc::new(row));
-        }
+            int_vals,
+            kregs,
+            flat,
+        } = scratch;
+        kregs.clear();
+        kregs.resize(variant.kernel.regs, Value::Null);
+        flat.clear();
+        let mut run = KRun {
+            rt: self,
+            kernel: &variant.kernel,
+            delta: delta_rows,
+            levels: Vec::with_capacity(variant.kernel.level_tids.len()),
+            regs: kregs,
+            probe_vals,
+            int_vals,
+            out: if fold {
+                Emit::Flat(flat)
+            } else {
+                Emit::Rows(Vec::new())
+            },
+            emitted: 0,
+            sups: prov.then(Vec::new),
+        };
+        run.exec(0)?;
         // Emission order follows the delta's arrival order (the outermost
         // ready dimension): within-tick key overwrites keep last-writer-wins
         // along the event stream. Inner join dimensions come from hash-map
         // lookups, so their relative order carries no semantics with or
         // without planner reordering.
-        Ok((out, sup.into_supports()))
-    }
-
-    /// Is `variant` currently executed through its compiled kernel?
-    /// Callers use this to attribute `RuleStats::kernel_evals`.
-    fn kernel_active(&self, variant: &Variant) -> bool {
-        variant.kernel.is_some() && self.plan.options.kernels && !self.prov_on
-    }
-
-    /// Evaluate a compiled kernel: the monomorphic twin of
-    /// [`Self::eval_variant`]'s interpreted walk. Candidate selection,
-    /// recheck exemption and emission order mirror the interpreter
-    /// exactly; the wins are no per-row environment writes, direct
-    /// column addressing, and `i64`-keyed join probes where column
-    /// types allow ([`crate::table::Table::lookup_int`]).
-    fn eval_kernel(
-        &self,
-        kernel: &Kernel,
-        delta_rows: Option<&[Row]>,
-        scratch: &mut EvalScratch,
-    ) -> Result<Vec<Row>> {
-        let EvalScratch {
-            probe_vals,
-            int_vals,
-            kregs,
-            ..
-        } = scratch;
-        kregs.clear();
-        kregs.resize(kernel.regs, Value::Null);
-        // The level stack borrows candidate rows straight out of the
-        // tables (and the delta slice): one small allocation per kernel
-        // evaluation instead of an `Arc` clone per scanned row.
-        let mut klevels: Vec<&Row> = Vec::with_capacity(kernel.ops.len());
-        let mut out = Vec::new();
-        self.exec_kops(
-            kernel,
-            0,
-            delta_rows,
-            &mut klevels,
-            kregs,
-            &mut out,
-            probe_vals,
-            int_vals,
-        )?;
-        Ok(out)
-    }
-
-    /// Recursive nested-loop execution of a kernel's op sequence — the
-    /// compiled mirror of [`Self::exec_ops`]. `levels` is the
-    /// candidate-row stack (one row per scan depth); `regs` the
-    /// assignment registers.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_kops<'a>(
-        &'a self,
-        kernel: &Kernel,
-        oi: usize,
-        delta_rows: Option<&'a [Row]>,
-        levels: &mut Vec<&'a Row>,
-        regs: &mut Vec<Value>,
-        out: &mut Vec<Row>,
-        probe_vals: &mut Vec<Value>,
-        int_vals: &mut Vec<i64>,
-    ) -> Result<()> {
-        if oi == kernel.ops.len() {
-            let mut row = Vec::with_capacity(kernel.head.len());
-            for e in &kernel.head {
-                row.push(keval(e, levels, regs)?);
-            }
-            out.push(Arc::new(row));
-            return Ok(());
-        }
-        match &kernel.ops[oi] {
-            KOp::Assign(r, e) => {
-                regs[*r] = keval(e, levels, regs)?;
-                self.exec_kops(
-                    kernel,
-                    oi + 1,
-                    delta_rows,
-                    levels,
-                    regs,
-                    out,
-                    probe_vals,
-                    int_vals,
-                )
-            }
-            KOp::Filter(e) => {
-                if ktruthy(e, levels, regs)? {
-                    self.exec_kops(
-                        kernel,
-                        oi + 1,
-                        delta_rows,
-                        levels,
-                        regs,
-                        out,
-                        probe_vals,
-                        int_vals,
-                    )?;
-                }
-                Ok(())
-            }
-            KOp::NegScan {
-                tid,
-                arity,
-                index_cols,
-                probes,
-                int_probe,
-                const_checks,
-                checks,
-            } => {
-                let (cands, exact) = self.kcandidates(
-                    *tid, index_cols, probes, *int_probe, levels, regs, probe_vals, int_vals,
-                )?;
-                'rows: for row in cands {
-                    if row.len() != *arity {
-                        continue;
-                    }
-                    for (i, v) in const_checks {
-                        if row[*i] != *v {
-                            continue 'rows;
-                        }
-                    }
-                    for ch in checks {
-                        if exact && ch.indexed {
-                            continue;
-                        }
-                        if !kcheck(ch, row, levels, regs)? {
-                            continue 'rows;
-                        }
-                    }
-                    // A match refutes the negation: prune this path.
-                    return Ok(());
-                }
-                self.exec_kops(
-                    kernel,
-                    oi + 1,
-                    delta_rows,
-                    levels,
-                    regs,
-                    out,
-                    probe_vals,
-                    int_vals,
-                )
-            }
-            KOp::Scan {
-                tid,
-                level: _,
-                arity,
-                is_delta,
-                index_cols,
-                probes,
-                int_probe,
-                const_checks,
-                checks,
-            } => {
-                let use_delta = *is_delta && delta_rows.is_some();
-                let (cands, exact) = if use_delta {
-                    (
-                        Candidates::Slice(delta_rows.expect("use_delta implies delta_rows").iter()),
-                        false,
-                    )
-                } else {
-                    self.kcandidates(
-                        *tid, index_cols, probes, *int_probe, levels, regs, probe_vals, int_vals,
-                    )?
-                };
-                // In tail position the scan emits heads inline — no
-                // recursion frame per matched row on the innermost (and
-                // hottest) join level.
-                let tail = oi + 1 == kernel.ops.len();
-                'rows: for row in cands {
-                    if row.len() != *arity {
-                        continue;
-                    }
-                    for (i, v) in const_checks {
-                        if row[*i] != *v {
-                            continue 'rows;
-                        }
-                    }
-                    // Stack the row, then check: duplicate-variable
-                    // patterns reference same-row columns (the
-                    // interpreter binds before checking for the same
-                    // reason).
-                    levels.push(row);
-                    let mut ok = true;
-                    for ch in checks {
-                        if exact && ch.indexed {
-                            continue;
-                        }
-                        if !kcheck(ch, row, levels, regs)? {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    if ok {
-                        if tail {
-                            let mut hrow = Vec::with_capacity(kernel.head.len());
-                            for e in &kernel.head {
-                                hrow.push(keval(e, levels, regs)?);
-                            }
-                            out.push(Arc::new(hrow));
-                        } else {
-                            self.exec_kops(
-                                kernel,
-                                oi + 1,
-                                delta_rows,
-                                levels,
-                                regs,
-                                out,
-                                probe_vals,
-                                int_vals,
-                            )?;
-                        }
-                    }
-                    levels.pop();
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Candidate rows for a kernel scan — [`Self::candidates`] with the
-    /// typed fast path in front: when every probed column is declared
-    /// `int` *and* every runtime probe value is an `int`, the lookup
-    /// hashes raw `i64`s straight into the index's integer-keyed buckets
-    /// ([`Table::lookup_int`]). That is the very bucket a `Value` probe
-    /// reaches (a column set has one index), and int columns never
-    /// coerce, so the bucket is recheck-exempt exactly when the generic
-    /// path's would be.
-    #[allow(clippy::too_many_arguments)]
-    fn kcandidates(
-        &self,
-        tid: TableId,
-        index_cols: &[usize],
-        probes: &[KExpr],
-        int_probe: bool,
-        levels: &[&Row],
-        regs: &[Value],
-        probe_vals: &mut Vec<Value>,
-        int_vals: &mut Vec<i64>,
-    ) -> Result<(Candidates<'_>, bool)> {
-        let t = &self.tables[tid.idx()];
-        if index_cols.is_empty() {
-            return Ok((t.all_candidates(), false));
-        }
-        probe_vals.clear();
-        if let [KExpr::Operand(op)] = probes {
-            // Single-operand probe — the dominant join shape. Resolve by
-            // borrow and hash the raw `i64` straight into the typed
-            // single-column index: no `Value` clone, no probe-tuple
-            // staging.
-            let v = kresolve(op, levels, regs);
-            if int_probe {
-                if let Value::Int(k) = v {
-                    int_vals.clear();
-                    int_vals.push(*k);
-                    if let Some(bucket) = t.lookup_int(index_cols, int_vals) {
-                        return Ok((Candidates::Bucket(bucket), true));
-                    }
-                }
-            }
-            probe_vals.push(v.clone());
-        } else {
-            for p in probes {
-                probe_vals.push(keval(p, levels, regs)?);
-            }
-            if int_probe && probe_vals.iter().all(|v| matches!(v, Value::Int(_))) {
-                int_vals.clear();
-                int_vals.extend(probe_vals.iter().filter_map(Value::as_int));
-                if let Some(bucket) = t.lookup_int(index_cols, int_vals) {
-                    return Ok((Candidates::Bucket(bucket), true));
-                }
-            }
-        }
-        // Fallback lattice, middle rung: a non-int runtime value probes
-        // the same index by `Value`, identically to the interpreter.
-        let coerced = t.coerce_probe(index_cols, probe_vals);
-        let (cands, bucket) = t.candidates(index_cols, probe_vals);
-        Ok((cands, bucket && !coerced))
-    }
-
-    /// Recursive nested-loop execution of a scheduled op sequence.
-    /// `probe_vals` is a shared probe-key scratch buffer: every index
-    /// probe refills it in place instead of allocating a fresh `Vec`.
-    #[allow(clippy::too_many_arguments, clippy::only_used_in_recursion)]
-    fn exec_ops(
-        &self,
-        rule: &CompiledRule,
-        ops: &[Op],
-        oi: usize,
-        delta_pred: Option<usize>,
-        delta_rows: Option<&[Row]>,
-        env: &mut Vec<Option<Value>>,
-        out: &mut Vec<Vec<Option<Value>>>,
-        sup: &mut SupportSink,
-        probe_vals: &mut Vec<Value>,
-    ) -> Result<()> {
-        if oi == ops.len() {
-            out.push(env.clone());
-            if sup.enabled {
-                sup.out.push(sup.cur.clone());
-            }
-            return Ok(());
-        }
-        match &ops[oi] {
-            Op::Assign(slot, e) => {
-                let v = eval_cexpr(e, env, &self.builtins)?;
-                let prev = env[*slot].replace(v);
-                self.exec_ops(
-                    rule,
-                    ops,
-                    oi + 1,
-                    delta_pred,
-                    delta_rows,
-                    env,
-                    out,
-                    sup,
-                    probe_vals,
-                )?;
-                env[*slot] = prev;
-                Ok(())
-            }
-            Op::Filter(e) => {
-                if eval_cexpr(e, env, &self.builtins)?.truthy() {
-                    self.exec_ops(
-                        rule,
-                        ops,
-                        oi + 1,
-                        delta_pred,
-                        delta_rows,
-                        env,
-                        out,
-                        sup,
-                        probe_vals,
-                    )?;
-                }
-                Ok(())
-            }
-            Op::NegScan {
-                tid,
-                pats,
-                index_cols,
-                const_checks,
-            } => {
-                let matched = self.probe(*tid, index_cols, pats, const_checks, env, probe_vals)?;
-                if !matched {
-                    self.exec_ops(
-                        rule,
-                        ops,
-                        oi + 1,
-                        delta_pred,
-                        delta_rows,
-                        env,
-                        out,
-                        sup,
-                        probe_vals,
-                    )?;
-                }
-                Ok(())
-            }
-            Op::Scan {
-                tid,
-                pred_idx,
-                pats,
-                index_cols,
-                bind_slots,
-                const_checks,
-            } => {
-                let use_delta = delta_pred == Some(*pred_idx) && delta_rows.is_some();
-                // Candidates are borrowed — a delta slice, an index bucket,
-                // or the full table — never cloned into a scratch vector.
-                // `exact` marks rows proven equal to the probe key on every
-                // indexed column, whose checks can therefore be skipped.
-                let (candidates, exact) = if use_delta {
-                    (
-                        Candidates::Slice(delta_rows.expect("use_delta implies delta_rows").iter()),
-                        false,
-                    )
-                } else {
-                    self.candidates(*tid, index_cols, pats, env, probe_vals)?
-                };
-                'rows: for row in candidates {
-                    if row.len() != pats.len() {
-                        continue;
-                    }
-                    // Literal checks first: reject a non-matching row with
-                    // direct comparisons before touching the environment
-                    // (comparing the literal equals evaluating its `Lit`).
-                    for (i, v) in const_checks {
-                        if row[*i] != *v {
-                            continue 'rows;
-                        }
-                    }
-                    // Bind, then check (duplicate-variable patterns
-                    // reference same-row binds).
-                    for (val, pat) in row.iter().zip(pats) {
-                        if let Pat::Bind(slot) = pat {
-                            env[*slot] = Some(val.clone());
-                        }
-                    }
-                    let mut ok = true;
-                    for (i, (val, pat)) in row.iter().zip(pats).enumerate() {
-                        if let Pat::Check(e) = pat {
-                            if matches!(e, CExpr::Lit(_)) || (exact && index_cols.contains(&i)) {
-                                continue;
-                            }
-                            if eval_cexpr(e, env, &self.builtins)? != *val {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        if sup.enabled {
-                            sup.cur.push((self.ids.name(*tid).to_string(), row.clone()));
-                        }
-                        self.exec_ops(
-                            rule,
-                            ops,
-                            oi + 1,
-                            delta_pred,
-                            delta_rows,
-                            env,
-                            out,
-                            sup,
-                            probe_vals,
-                        )?;
-                        if sup.enabled {
-                            sup.cur.pop();
-                        }
-                    }
-                    for s in bind_slots {
-                        env[*s] = None;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Candidate rows for a scan: the prebuilt index over the plan's
-    /// statically-bound check columns, or a full scan when there are none.
-    /// The flag is true when the rows are an exact-match index bucket for
-    /// an *uncoerced* probe — every indexed column of every returned row
-    /// is already known equal to its check expression, so the caller can
-    /// skip rechecking those columns. A coerced probe (`Str` widened to
-    /// `Addr`) is excluded: the recheck compares the uncoerced value and
-    /// is the binding semantics.
-    fn candidates(
-        &self,
-        tid: TableId,
-        index_cols: &[usize],
-        pats: &[Pat],
-        env: &[Option<Value>],
-        vals: &mut Vec<Value>,
-    ) -> Result<(Candidates<'_>, bool)> {
-        let t = &self.tables[tid.idx()];
-        if index_cols.is_empty() {
-            return Ok((t.all_candidates(), false));
-        }
-        vals.clear();
-        for &i in index_cols {
-            let Pat::Check(e) = &pats[i] else {
-                return Err(OverlogError::Eval(
-                    "internal: index column is not a check pattern".into(),
-                ));
-            };
-            vals.push(eval_cexpr(e, env, &self.builtins)?);
-        }
-        let coerced = t.coerce_probe(index_cols, vals);
-        let (cands, bucket) = t.candidates(index_cols, vals);
-        Ok((cands, bucket && !coerced))
-    }
-
-    /// Does any row match the (fully-bound) patterns?
-    #[allow(clippy::too_many_arguments)]
-    fn probe(
-        &self,
-        tid: TableId,
-        index_cols: &[usize],
-        pats: &[Pat],
-        const_checks: &[(usize, Value)],
-        env: &[Option<Value>],
-        vals: &mut Vec<Value>,
-    ) -> Result<bool> {
-        let (rows, exact) = self.candidates(tid, index_cols, pats, env, vals)?;
-        'row: for row in rows {
-            if row.len() != pats.len() {
-                continue;
-            }
-            for (i, v) in const_checks {
-                if row[*i] != *v {
-                    continue 'row;
-                }
-            }
-            for (i, (val, pat)) in row.iter().zip(pats).enumerate() {
-                match pat {
-                    Pat::Wild => {}
-                    Pat::Check(e) => {
-                        if matches!(e, CExpr::Lit(_)) || (exact && index_cols.contains(&i)) {
-                            continue;
-                        }
-                        if eval_cexpr(e, env, &self.builtins)? != *val {
-                            continue 'row;
-                        }
-                    }
-                    Pat::Bind(_) => {
-                        return Err(OverlogError::Eval(
-                            "internal: bind pattern in negated scan".into(),
-                        ))
-                    }
-                }
-            }
-            return Ok(true);
-        }
-        Ok(false)
+        let rows = match run.out {
+            Emit::Rows(rows) => rows,
+            Emit::Flat(_) => Vec::new(),
+        };
+        Ok((rows, run.emitted, run.sups))
     }
 
     /// Full recomputation of an aggregate rule: evaluate the body, group,
     /// fold, and key-overwrite the head table.
     fn eval_aggregate(&mut self, rule: &CompiledRule, ctx: &mut TickCtx) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let variant = &rule.variants[0];
-        let mut envs: Vec<Vec<Option<Value>>> = Vec::new();
-        let EvalScratch {
-            env, probe_vals, ..
-        } = &mut ctx.eval;
-        env.clear();
-        env.resize(rule.nslots, None);
-        // Aggregate provenance records empty inputs: the support of a fold
-        // is the whole group, not a single join path.
-        let mut sup = SupportSink::new(false);
-        self.exec_ops(
-            rule,
-            &variant.ops,
-            0,
-            None,
-            None,
-            env,
-            &mut envs,
-            &mut sup,
-            probe_vals,
-        )?;
         let rows: Vec<Row> = self
-            .fold_groups(rule, &envs)?
+            .eval_groups(rule, &rule.variants[0], None, &mut ctx.eval)?
             .into_iter()
             .map(|(_, r)| r)
             .collect();
@@ -2646,156 +2083,20 @@ impl OverlogRuntime {
         self.dispatch(rule, rows, None, ctx)
     }
 
-    /// Scoped aggregate evaluation: run the body with `anchor_rows` as the
-    /// delta of the variant's anchor predicate (the remaining predicates
-    /// join against live tables) and fold the resulting groups.
-    fn eval_aggregate_scoped(
-        &self,
+    /// Evaluate an aggregate rule's body through `variant`'s kernel and
+    /// fold the projected rows into `(group key, head row)` pairs.
+    /// `anchor_rows` scopes the evaluation to the variant's delta
+    /// predicate (the remaining predicates join against live tables);
+    /// `None` reads every table in full.
+    fn eval_groups(
+        &mut self,
         rule: &CompiledRule,
         variant: &Variant,
-        anchor_rows: &[Row],
+        anchor_rows: Option<&[Row]>,
         scratch: &mut EvalScratch,
     ) -> Result<Vec<(Vec<Value>, Row)>> {
-        let mut envs: Vec<Vec<Option<Value>>> = Vec::new();
-        let EvalScratch {
-            env, probe_vals, ..
-        } = scratch;
-        env.clear();
-        env.resize(rule.nslots, None);
-        let mut sup = SupportSink::new(false);
-        self.exec_ops(
-            rule,
-            &variant.ops,
-            0,
-            variant.delta_pred,
-            Some(anchor_rows),
-            env,
-            &mut envs,
-            &mut sup,
-            probe_vals,
-        )?;
-        self.fold_groups(rule, &envs)
-    }
-
-    /// Group and fold an aggregate rule's body environments into
-    /// `(group key, head row)` pairs, sorted by group key for
-    /// deterministic emission. The group key is the tuple of non-aggregate
-    /// head columns, in head order.
-    fn fold_groups(
-        &self,
-        rule: &CompiledRule,
-        envs: &[Vec<Option<Value>>],
-    ) -> Result<Vec<(Vec<Value>, Row)>> {
-        #[derive(Clone)]
-        enum Acc {
-            Count(i64),
-            Sum(Value),
-            Min(Value),
-            Max(Value),
-            Avg(f64, i64),
-            Set(std::collections::BTreeSet<Value>),
-        }
-        let mut groups: FxHashMap<Vec<Value>, Vec<Acc>> = FxHashMap::default();
-        for env in envs {
-            let mut key = Vec::new();
-            for arg in &rule.head_args {
-                if let CHeadArg::Expr(e) = arg {
-                    key.push(eval_cexpr(e, env, &self.builtins)?);
-                }
-            }
-            let accs = groups.entry(key).or_insert_with(|| {
-                rule.head_args
-                    .iter()
-                    .filter_map(|a| match a {
-                        CHeadArg::Agg(k, _) => Some(match k {
-                            AggKind::Count => Acc::Count(0),
-                            AggKind::Sum => Acc::Sum(Value::Int(0)),
-                            AggKind::Min => Acc::Min(Value::Null),
-                            AggKind::Max => Acc::Max(Value::Null),
-                            AggKind::Avg => Acc::Avg(0.0, 0),
-                            AggKind::Set => Acc::Set(Default::default()),
-                        }),
-                        CHeadArg::Expr(_) => None,
-                    })
-                    .collect()
-            });
-            let mut ai = 0usize;
-            for arg in &rule.head_args {
-                if let CHeadArg::Agg(kind, slot) = arg {
-                    let input = match slot {
-                        Some(s) => env[*s].clone().ok_or_else(|| {
-                            OverlogError::Eval(format!(
-                                "aggregate input unbound in `{}`",
-                                rule.label
-                            ))
-                        })?,
-                        None => Value::Int(1),
-                    };
-                    match (&mut accs[ai], kind) {
-                        (Acc::Count(c), AggKind::Count) => *c += 1,
-                        (Acc::Sum(s), AggKind::Sum) => {
-                            *s = add_values(s, &input)?;
-                        }
-                        (Acc::Min(mv), AggKind::Min) => {
-                            if *mv == Value::Null || input < *mv {
-                                *mv = input;
-                            }
-                        }
-                        (Acc::Max(mv), AggKind::Max) => {
-                            if *mv == Value::Null || input > *mv {
-                                *mv = input;
-                            }
-                        }
-                        (Acc::Set(set), AggKind::Set) => {
-                            set.insert(input);
-                        }
-                        (Acc::Avg(sum, n), AggKind::Avg) => {
-                            *sum += input.as_float().ok_or_else(|| {
-                                OverlogError::Eval("avg over non-numeric value".into())
-                            })?;
-                            *n += 1;
-                        }
-                        _ => unreachable!("accumulator kinds align with head args"),
-                    }
-                    ai += 1;
-                }
-            }
-        }
-        // Deterministic emission order.
-        let mut keys: Vec<Vec<Value>> = groups.keys().cloned().collect();
-        keys.sort();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let accs = &groups[&key];
-            let mut row = Vec::with_capacity(rule.head_args.len());
-            let (mut ki, mut ai) = (0usize, 0usize);
-            for arg in &rule.head_args {
-                match arg {
-                    CHeadArg::Expr(_) => {
-                        row.push(key[ki].clone());
-                        ki += 1;
-                    }
-                    CHeadArg::Agg(_, _) => {
-                        row.push(match &accs[ai] {
-                            Acc::Count(c) => Value::Int(*c),
-                            Acc::Sum(s) => s.clone(),
-                            Acc::Min(v) | Acc::Max(v) => v.clone(),
-                            Acc::Avg(sum, n) => {
-                                if *n == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(sum / *n as f64)
-                                }
-                            }
-                            Acc::Set(set) => Value::list(set.iter().cloned().collect()),
-                        });
-                        ai += 1;
-                    }
-                }
-            }
-            out.push((key, Arc::new(row)));
-        }
-        Ok(out)
+        let (_, n, _) = self.run_kernel(rule, variant, anchor_rows, scratch, true)?;
+        fold_groups(rule, &scratch.flat, n)
     }
 
     /// Which view tables must be rebuilt, given the inputs that shrank
@@ -3285,10 +2586,10 @@ impl OverlogRuntime {
         let t0 = std::time::Instant::now();
         let anchor_rows = self.collect_anchor_rows(anchor, &keys);
         let rule = &plan.rules[rid];
-        let pairs = self.eval_aggregate_scoped(
+        let pairs = self.eval_groups(
             rule,
             &rule.variants[anchor.variant],
-            &anchor_rows,
+            Some(&anchor_rows),
             &mut ctx.eval,
         )?;
         self.rule_stats[rid].maint_evals += 1;
@@ -3495,20 +2796,16 @@ impl OverlogRuntime {
 
     /// Evaluate one variant for the maintainer over explicit delta rows,
     /// charging the rule's maintenance counters and eval clock.
-    #[allow(clippy::type_complexity)]
     fn maint_eval(
         &mut self,
         rule: &CompiledRule,
         vi: usize,
         delta: &[Row],
         scratch: &mut EvalScratch,
-    ) -> Result<(Vec<Row>, Option<Vec<Vec<(String, Row)>>>)> {
+    ) -> Result<(Vec<Row>, Option<Vec<Witness>>)> {
         let t0 = std::time::Instant::now();
         let out = self.eval_variant(rule, &rule.variants[vi], Some(delta), scratch)?;
         self.rule_stats[rule.id].maint_evals += 1;
-        if self.kernel_active(&rule.variants[vi]) {
-            self.rule_stats[rule.id].kernel_evals += 1;
-        }
         self.rule_stats[rule.id].eval_ns += t0.elapsed().as_nanos() as u64;
         Ok(out)
     }
@@ -3517,13 +2814,13 @@ impl OverlogRuntime {
     /// provenance witnesses, appending every row that changed the table
     /// to `fresh` (the next semi-naive frontier). A row in `over` (this
     /// round's unpublished over-deletions) goes back in unpublished.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    #[allow(clippy::too_many_arguments)]
     fn dred_insert_all(
         &mut self,
         v: TableId,
         rule: &CompiledRule,
         rows: Vec<Row>,
-        sups: Option<Vec<Vec<(String, Row)>>>,
+        sups: Option<Vec<Witness>>,
         over: &FxHashSet<Row>,
         fresh: &mut Vec<Row>,
         ctx: &mut TickCtx,
@@ -3590,10 +2887,10 @@ impl OverlogRuntime {
         }
         let t0 = std::time::Instant::now();
         let anchor_rows = self.collect_anchor_rows(anchor, &keys);
-        let pairs = self.eval_aggregate_scoped(
+        let pairs = self.eval_groups(
             rule,
             &rule.variants[anchor.variant],
-            &anchor_rows,
+            Some(&anchor_rows),
             &mut ctx.eval,
         )?;
         let rows: Vec<Row> = pairs.into_iter().map(|(_, r)| r).collect();
@@ -3842,6 +3139,129 @@ impl OverlogRuntime {
     }
 }
 
+/// One aggregate's running value inside a group.
+enum Acc {
+    Count(i64),
+    Sum(Value),
+    /// `Null` means unset: the first input always replaces it.
+    Min(Value),
+    Max(Value),
+    Avg(f64, i64),
+    Set(std::collections::BTreeSet<Value>),
+}
+
+impl Acc {
+    fn new(kind: AggKind) -> Self {
+        match kind {
+            AggKind::Count => Acc::Count(0),
+            AggKind::Sum => Acc::Sum(Value::Int(0)),
+            AggKind::Min => Acc::Min(Value::Null),
+            AggKind::Max => Acc::Max(Value::Null),
+            AggKind::Avg => Acc::Avg(0.0, 0),
+            AggKind::Set => Acc::Set(Default::default()),
+        }
+    }
+
+    /// Fold one input in (`count<*>` folds `Int(1)`).
+    fn add(&mut self, input: &Value) -> Result<()> {
+        match self {
+            Acc::Count(c) => *c += 1,
+            Acc::Sum(s) => *s = add_values(s, input)?,
+            Acc::Min(m) => {
+                if *m == Value::Null || *input < *m {
+                    *m = input.clone();
+                }
+            }
+            Acc::Max(m) => {
+                if *m == Value::Null || *input > *m {
+                    *m = input.clone();
+                }
+            }
+            Acc::Avg(sum, n) => {
+                *sum += input
+                    .as_float()
+                    .ok_or_else(|| OverlogError::Eval("avg over non-numeric value".into()))?;
+                *n += 1;
+            }
+            Acc::Set(set) => {
+                set.insert(input.clone());
+            }
+        }
+        Ok(())
+    }
+
+    fn value(&self) -> Value {
+        match self {
+            Acc::Count(c) => Value::Int(*c),
+            Acc::Sum(v) | Acc::Min(v) | Acc::Max(v) => v.clone(),
+            Acc::Avg(_, 0) => Value::Null,
+            Acc::Avg(sum, n) => Value::Float(sum / *n as f64),
+            Acc::Set(set) => Value::list(set.iter().cloned().collect()),
+        }
+    }
+}
+
+/// Group and fold the `n` rows an aggregate rule's kernel emitted (laid
+/// out back to back in `vals`) into `(group key, head row)` pairs, sorted
+/// by group key for deterministic emission. Each row holds the group key
+/// (the non-aggregate head columns, in head order), then one input per
+/// aggregate that has an input variable.
+fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec<Value>, Row)>> {
+    const ONE: Value = Value::Int(1);
+    let nkeys = rule
+        .head_args
+        .iter()
+        .filter(|a| matches!(a, CHeadArg::Expr(_)))
+        .count();
+    // Per aggregate: its kind and the row column of its input.
+    let mut next = nkeys;
+    let aggs: Vec<(AggKind, Option<usize>)> = rule
+        .head_args
+        .iter()
+        .filter_map(|a| match a {
+            CHeadArg::Agg(kind, slot) => Some((
+                *kind,
+                slot.map(|_| {
+                    next += 1;
+                    next - 1
+                }),
+            )),
+            CHeadArg::Expr(_) => None,
+        })
+        .collect();
+    let width = next;
+    let mut groups: FxHashMap<Vec<Value>, Vec<Acc>> = FxHashMap::default();
+    for i in 0..n {
+        let row = &vals[i * width..(i + 1) * width];
+        let key = &row[..nkeys];
+        if !groups.contains_key(key) {
+            let accs = aggs.iter().map(|(kind, _)| Acc::new(*kind)).collect();
+            groups.insert(key.to_vec(), accs);
+        }
+        let accs = groups.get_mut(key).expect("group inserted above");
+        for (acc, (_, col)) in accs.iter_mut().zip(&aggs) {
+            acc.add(col.map_or(&ONE, |c| &row[c]))?;
+        }
+    }
+    let mut groups: Vec<(Vec<Value>, Vec<Acc>)> = groups.into_iter().collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    Ok(groups
+        .into_iter()
+        .map(|(key, accs)| {
+            let (mut keys, mut vals) = (key.iter(), accs.iter());
+            let row: Vec<Value> = rule
+                .head_args
+                .iter()
+                .map(|a| match a {
+                    CHeadArg::Expr(_) => keys.next().expect("one key per expr").clone(),
+                    CHeadArg::Agg(..) => vals.next().expect("one acc per agg").value(),
+                })
+                .collect();
+            (key, Arc::new(row))
+        })
+        .collect())
+}
+
 fn add_values(a: &Value, b: &Value) -> Result<Value> {
     match (a, b) {
         (Value::Int(x), Value::Int(y)) => Ok(Value::Int(x.wrapping_add(*y))),
@@ -3854,96 +3274,6 @@ fn add_values(a: &Value, b: &Value) -> Result<Value> {
             );
             Ok(Value::Float(x + y))
         }
-    }
-}
-
-fn raw_str(v: &Value) -> String {
-    match v {
-        Value::Str(s) | Value::Addr(s) => s.to_string(),
-        other => other.to_string(),
-    }
-}
-
-/// Evaluate a compiled expression against an environment.
-pub fn eval_cexpr(e: &CExpr, env: &[Option<Value>], builtins: &Builtins) -> Result<Value> {
-    match e {
-        CExpr::Lit(v) => Ok(v.clone()),
-        CExpr::Slot(s) => env
-            .get(*s)
-            .and_then(|v| v.clone())
-            .ok_or_else(|| OverlogError::Eval(format!("unbound variable slot {s}"))),
-        CExpr::Unary(op, a) => {
-            let v = eval_cexpr(a, env, builtins)?;
-            match op {
-                UnOp::Neg => match v {
-                    Value::Int(i) => Ok(Value::Int(-i)),
-                    Value::Float(f) => Ok(Value::Float(-f)),
-                    other => Err(OverlogError::Eval(format!("cannot negate {other}"))),
-                },
-                UnOp::Not => Ok(Value::Bool(!v.truthy())),
-            }
-        }
-        CExpr::Binary(op, a, b) => {
-            // Short-circuit boolean operators.
-            if *op == BinOp::And {
-                let va = eval_cexpr(a, env, builtins)?;
-                if !va.truthy() {
-                    return Ok(Value::Bool(false));
-                }
-                return Ok(Value::Bool(eval_cexpr(b, env, builtins)?.truthy()));
-            }
-            if *op == BinOp::Or {
-                let va = eval_cexpr(a, env, builtins)?;
-                if va.truthy() {
-                    return Ok(Value::Bool(true));
-                }
-                return Ok(Value::Bool(eval_cexpr(b, env, builtins)?.truthy()));
-            }
-            let va = eval_cexpr(a, env, builtins)?;
-            let vb = eval_cexpr(b, env, builtins)?;
-            eval_binop(*op, &va, &vb)
-        }
-        CExpr::Call(f, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_cexpr(a, env, builtins)?);
-            }
-            builtins.call(f, &vals)
-        }
-        CExpr::List(items) => {
-            let mut vals = Vec::with_capacity(items.len());
-            for i in items {
-                vals.push(eval_cexpr(i, env, builtins)?);
-            }
-            Ok(Value::list(vals))
-        }
-    }
-}
-
-/// Apply a non-short-circuit binary operator to two already-evaluated
-/// values. This is the single implementation both the interpreted path
-/// ([`eval_cexpr`]) and the compiled kernels share, so a specialized
-/// kernel can never drift from interpreter semantics on comparisons,
-/// concatenation or arithmetic. `And`/`Or` stay in [`eval_cexpr`]: they
-/// short-circuit over unevaluated subexpressions.
-pub fn eval_binop(op: BinOp, va: &Value, vb: &Value) -> Result<Value> {
-    match op {
-        BinOp::Eq => Ok(Value::Bool(va == vb)),
-        BinOp::Ne => Ok(Value::Bool(va != vb)),
-        BinOp::Lt => Ok(Value::Bool(va < vb)),
-        BinOp::Le => Ok(Value::Bool(va <= vb)),
-        BinOp::Gt => Ok(Value::Bool(va > vb)),
-        BinOp::Ge => Ok(Value::Bool(va >= vb)),
-        BinOp::Concat => match (va, vb) {
-            (Value::List(x), Value::List(y)) => {
-                let mut out = x.to_vec();
-                out.extend(y.iter().cloned());
-                Ok(Value::list(out))
-            }
-            _ => Ok(Value::str(format!("{}{}", raw_str(va), raw_str(vb)))),
-        },
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, va, vb),
-        BinOp::And | BinOp::Or => unreachable!("short-circuit ops never reach eval_binop"),
     }
 }
 
@@ -3968,19 +3298,16 @@ enum GateOutcome {
 /// column-group cache, building the group on first touch. A group
 /// answers `Some` only when its typed layout decides the literal's
 /// equality exactly as `Value` equality would (see
-/// [`ColGroup::select`]); otherwise — and for multi-column gates, tiny
-/// slices, and `vectorize: false` (the `BOOM_KERNELS=0` interpreted
-/// engine, which must keep the pre-kernel evaluation path byte for
-/// byte) — this falls back to the original per-row all-fail scan.
+/// [`ColGroup::select`]); otherwise — and for multi-column gates and
+/// tiny slices — this falls back to the per-row all-fail scan.
 fn gate_select(
     gates: &mut FxHashMap<(usize, usize), ColGroup>,
     slice: &[Row],
     dt: usize,
     gate: &[(usize, Value)],
-    vectorize: bool,
 ) -> GateOutcome {
     if let [(col, v)] = gate {
-        if vectorize && slice.len() >= GATE_MIN_ROWS {
+        if slice.len() >= GATE_MIN_ROWS {
             let group = gates
                 .entry((dt, *col))
                 .or_insert_with(|| Column::from_rows(slice, *col).group());
@@ -4002,86 +3329,225 @@ fn gate_select(
     }
 }
 
-/// Resolve a kernel operand to its place: a borrowed value, no
-/// environment consulted. `levels` holds *borrowed* candidate rows —
-/// the kernel stack never clones an `Arc` per scanned row.
-fn kresolve<'a>(op: &'a KOperand, levels: &[&'a Row], regs: &'a [Value]) -> &'a Value {
-    match op {
-        KOperand::Const(v) => v,
-        KOperand::Col { level, col } => &levels[*level][*col],
-        KOperand::Reg(r) => &regs[*r],
-    }
+/// Where a kernel evaluation's head rows go.
+enum Emit<'s> {
+    /// One shared row per derivation, for dispatch.
+    Rows(Vec<Row>),
+    /// The values back to back in a pooled buffer, for a fold: no row is
+    /// allocated, and the buffer is reused across evaluations.
+    Flat(&'s mut Vec<Value>),
 }
 
-/// Evaluate a kernel expression to an owned value (head projection,
-/// probes, assignments).
-fn keval(e: &KExpr, levels: &[&Row], regs: &[Value]) -> Result<Value> {
-    match e {
-        KExpr::Operand(o) => Ok(kresolve(o, levels, regs).clone()),
-        KExpr::Binary(op, a, b) => {
-            eval_binop(*op, kresolve(a, levels, regs), kresolve(b, levels, regs))
-        }
-    }
+/// One kernel evaluation in flight: the candidate-row stack (borrowed
+/// straight out of the tables and the delta slice — no `Arc` clone per
+/// scanned row), the registers and pooled probe buffers, and what it
+/// has emitted so far.
+struct KRun<'a, 's> {
+    rt: &'a OverlogRuntime,
+    kernel: &'a Kernel,
+    delta: Option<&'a [Row]>,
+    levels: Vec<&'a Row>,
+    regs: &'s mut Vec<Value>,
+    probe_vals: &'s mut Vec<Value>,
+    int_vals: &'s mut Vec<i64>,
+    out: Emit<'s>,
+    emitted: usize,
+    /// Provenance witnesses, one per emitted row (capture on only).
+    sups: Option<Vec<Witness>>,
 }
 
-/// Truthiness of a kernel expression (filters), without cloning operands.
-fn ktruthy(e: &KExpr, levels: &[&Row], regs: &[Value]) -> Result<bool> {
-    match e {
-        KExpr::Operand(o) => Ok(kresolve(o, levels, regs).truthy()),
-        KExpr::Binary(op, a, b) => {
-            Ok(eval_binop(*op, kresolve(a, levels, regs), kresolve(b, levels, regs))?.truthy())
-        }
-    }
-}
-
-/// Does the candidate row satisfy one kernel column check? Operand
-/// checks (the common case — join columns) compare borrowed values with
-/// zero clones.
-fn kcheck(ch: &KCheck, row: &Row, levels: &[&Row], regs: &[Value]) -> Result<bool> {
-    let val = &row[ch.col];
-    match &ch.expr {
-        KExpr::Operand(o) => Ok(kresolve(o, levels, regs) == val),
-        KExpr::Binary(op, a, b) => {
-            Ok(&eval_binop(*op, kresolve(a, levels, regs), kresolve(b, levels, regs))? == val)
-        }
-    }
-}
-
-fn arith(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
-    if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return match op {
-            BinOp::Add => Ok(Value::Int(x.wrapping_add(*y))),
-            BinOp::Sub => Ok(Value::Int(x.wrapping_sub(*y))),
-            BinOp::Mul => Ok(Value::Int(x.wrapping_mul(*y))),
-            BinOp::Div => {
-                if *y == 0 {
-                    Err(OverlogError::Eval("integer division by zero".into()))
-                } else {
-                    Ok(Value::Int(x.wrapping_div(*y)))
-                }
-            }
-            BinOp::Mod => {
-                if *y == 0 {
-                    Err(OverlogError::Eval("integer modulo by zero".into()))
-                } else {
-                    Ok(Value::Int(x.wrapping_rem(*y)))
-                }
-            }
-            _ => unreachable!("arith called with arithmetic op"),
+impl<'a> KRun<'a, '_> {
+    /// Recursive nested-loop execution of the kernel's ops from `oi`.
+    fn exec(&mut self, oi: usize) -> Result<()> {
+        let (rt, kernel) = (self.rt, self.kernel);
+        let Some(op) = kernel.ops.get(oi) else {
+            return self.emit();
         };
+        match op {
+            KOp::Assign(r, e) => {
+                let v = kernel::eval(e, &self.levels, self.regs, &rt.builtins)?;
+                self.regs[*r] = v;
+                self.exec(oi + 1)
+            }
+            KOp::Filter(e) => {
+                if kernel::truthy(e, &self.levels, self.regs, &rt.builtins)? {
+                    self.exec(oi + 1)?;
+                }
+                Ok(())
+            }
+            KOp::NegScan {
+                tid,
+                arity,
+                index_cols,
+                probes,
+                int_probe,
+                const_checks,
+                checks,
+            } => {
+                let (cands, exact) = self.scan_candidates(*tid, index_cols, probes, *int_probe)?;
+                'rows: for row in cands {
+                    if row.len() != *arity {
+                        continue;
+                    }
+                    for (i, v) in const_checks {
+                        if row[*i] != *v {
+                            continue 'rows;
+                        }
+                    }
+                    if self.checks_hold(checks, row, exact)? {
+                        // A match refutes the negation: prune this path.
+                        return Ok(());
+                    }
+                }
+                self.exec(oi + 1)
+            }
+            KOp::Scan {
+                tid,
+                arity,
+                is_delta,
+                index_cols,
+                probes,
+                int_probe,
+                const_checks,
+                checks,
+            } => {
+                let (cands, exact) = match self.delta {
+                    Some(delta) if *is_delta => (Candidates::Slice(delta.iter()), false),
+                    _ => self.scan_candidates(*tid, index_cols, probes, *int_probe)?,
+                };
+                // In tail position the scan emits heads inline — no
+                // recursion frame per matched row on the innermost (and
+                // hottest) join level.
+                let tail = oi + 1 == kernel.ops.len();
+                'rows: for row in cands {
+                    if row.len() != *arity {
+                        continue;
+                    }
+                    for (i, v) in const_checks {
+                        if row[*i] != *v {
+                            continue 'rows;
+                        }
+                    }
+                    // Stack the row, then check: duplicate-variable
+                    // patterns reference same-row columns.
+                    self.levels.push(row);
+                    if self.checks_hold(checks, row, exact)? {
+                        if tail {
+                            self.emit()?;
+                        } else {
+                            self.exec(oi + 1)?;
+                        }
+                    }
+                    self.levels.pop();
+                }
+                Ok(())
+            }
+        }
     }
-    let (x, y) = (
-        a.as_float()
-            .ok_or_else(|| OverlogError::Eval(format!("arithmetic on non-number {a}")))?,
-        b.as_float()
-            .ok_or_else(|| OverlogError::Eval(format!("arithmetic on non-number {b}")))?,
-    );
-    Ok(match op {
-        BinOp::Add => Value::Float(x + y),
-        BinOp::Sub => Value::Float(x - y),
-        BinOp::Mul => Value::Float(x * y),
-        BinOp::Div => Value::Float(x / y),
-        BinOp::Mod => Value::Float(x % y),
-        _ => unreachable!("arith called with arithmetic op"),
-    })
+
+    /// Do the candidate row's non-literal checks hold? In an exact
+    /// bucket the indexed columns are already known equal and are not
+    /// re-evaluated (so a builtin in a probe key runs once per probe).
+    fn checks_hold(&self, checks: &[KCheck], row: &Row, exact: bool) -> Result<bool> {
+        for ch in checks {
+            if exact && ch.indexed {
+                continue;
+            }
+            if !kernel::check(ch, row, &self.levels, self.regs, &self.rt.builtins)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Project the head over the current level stack and, when capture
+    /// is on, record each positive scan's row as the provenance witness.
+    fn emit(&mut self) -> Result<()> {
+        let (rt, kernel) = (self.rt, self.kernel);
+        let mut head = kernel
+            .head
+            .iter()
+            .map(|e| kernel::eval(e, &self.levels, self.regs, &rt.builtins));
+        match &mut self.out {
+            Emit::Rows(rows) => {
+                // Exact capacity: the row is stored for as long as the
+                // table holds it.
+                let mut row = Vec::with_capacity(kernel.head.len());
+                head.try_for_each(|v| v.map(|v| row.push(v)))?;
+                rows.push(Arc::new(row));
+            }
+            Emit::Flat(vals) => head.try_for_each(|v| v.map(|v| vals.push(v)))?,
+        }
+        self.emitted += 1;
+        if let Some(sups) = &mut self.sups {
+            sups.push(
+                kernel
+                    .level_tids
+                    .iter()
+                    .zip(&self.levels)
+                    .map(|(t, r)| (rt.ids.name(*t).to_string(), Row::clone(r)))
+                    .collect(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Candidate rows for a scan: the prebuilt index over the plan's
+    /// statically-bound check columns, or a full scan when there are
+    /// none. The flag is true when the rows are an exact-match bucket for
+    /// an *uncoerced* probe, so indexed checks can be skipped (a coerced
+    /// probe — `Str` widened to `Addr` — keeps its recheck: comparing the
+    /// uncoerced value is the binding semantics).
+    ///
+    /// When every probed column is declared `int` *and* every runtime
+    /// probe value is an `int`, the lookup hashes raw `i64`s straight
+    /// into the index's integer-keyed buckets ([`Table::lookup_int`]):
+    /// the very bucket a `Value` probe reaches (a column set has one
+    /// index), and int columns never coerce.
+    fn scan_candidates(
+        &mut self,
+        tid: TableId,
+        index_cols: &[usize],
+        probes: &[KExpr],
+        int_probe: bool,
+    ) -> Result<(Candidates<'a>, bool)> {
+        let rt = self.rt;
+        let t = &rt.tables[tid.idx()];
+        if index_cols.is_empty() {
+            return Ok((t.all_candidates(), false));
+        }
+        self.probe_vals.clear();
+        if let [KExpr::Operand(op)] = probes {
+            // Single-operand probe — the dominant join shape. Resolve by
+            // borrow and hash the raw `i64` straight into the typed
+            // single-column index: no `Value` clone, no probe staging.
+            let v = kernel::resolve(op, &self.levels, self.regs);
+            if int_probe {
+                if let Value::Int(k) = v {
+                    self.int_vals.clear();
+                    self.int_vals.push(*k);
+                    if let Some(bucket) = t.lookup_int(index_cols, self.int_vals) {
+                        return Ok((Candidates::Bucket(bucket), true));
+                    }
+                }
+            }
+            self.probe_vals.push(v.clone());
+        } else {
+            for p in probes {
+                let v = kernel::eval(p, &self.levels, self.regs, &rt.builtins)?;
+                self.probe_vals.push(v);
+            }
+            if int_probe && self.probe_vals.iter().all(|v| matches!(v, Value::Int(_))) {
+                self.int_vals.clear();
+                self.int_vals
+                    .extend(self.probe_vals.iter().filter_map(Value::as_int));
+                if let Some(bucket) = t.lookup_int(index_cols, self.int_vals) {
+                    return Ok((Candidates::Bucket(bucket), true));
+                }
+            }
+        }
+        let coerced = t.coerce_probe(index_cols, self.probe_vals);
+        let (cands, bucket) = t.lookup_or_scan(index_cols, self.probe_vals);
+        Ok((cands, bucket && !coerced))
+    }
 }

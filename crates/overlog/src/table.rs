@@ -572,7 +572,7 @@ impl Table {
     /// indexed column, so the evaluator may skip rechecking those columns
     /// (unless the probe was coerced — see [`Table::coerce_probe`]).
     #[inline]
-    pub fn candidates(&self, cols: &[usize], vals: &[Value]) -> (Candidates<'_>, bool) {
+    pub fn lookup_or_scan(&self, cols: &[usize], vals: &[Value]) -> (Candidates<'_>, bool) {
         match self.lookup(cols, vals) {
             Some(bucket) => (Candidates::Bucket(bucket), true),
             None => (self.all_candidates(), false),

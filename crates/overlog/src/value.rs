@@ -4,6 +4,8 @@
 //! relation holds a [`Value`]. Table declarations carry [`TypeTag`]s that are
 //! checked on insertion, mirroring JOL's declared Java types.
 
+use crate::ast::{BinOp, UnOp};
+use crate::error::{OverlogError, Result};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -334,6 +336,89 @@ macro_rules! tuple {
     ($($v:expr),* $(,)?) => {
         $crate::value::row(vec![$($crate::value::Value::from($v)),*])
     };
+}
+
+/// Apply a unary operator to an evaluated value.
+pub fn eval_unop(op: UnOp, v: &Value) -> Result<Value> {
+    match op {
+        UnOp::Neg => match v {
+            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            other => Err(OverlogError::Eval(format!("cannot negate {other}"))),
+        },
+        UnOp::Not => Ok(Value::Bool(!v.truthy())),
+    }
+}
+
+fn raw_str(v: &Value) -> String {
+    match v {
+        Value::Str(s) | Value::Addr(s) => s.to_string(),
+        other => other.to_string(),
+    }
+}
+
+/// Apply a strict (non-short-circuit) binary operator to two evaluated
+/// values: comparisons, concatenation and arithmetic. `&&`/`||` never
+/// reach here: they evaluate their right side lazily
+/// ([`crate::kernel::KExpr::And`]/[`crate::kernel::KExpr::Or`]).
+pub fn eval_binop(op: BinOp, va: &Value, vb: &Value) -> Result<Value> {
+    match op {
+        BinOp::Eq => Ok(Value::Bool(va == vb)),
+        BinOp::Ne => Ok(Value::Bool(va != vb)),
+        BinOp::Lt => Ok(Value::Bool(va < vb)),
+        BinOp::Le => Ok(Value::Bool(va <= vb)),
+        BinOp::Gt => Ok(Value::Bool(va > vb)),
+        BinOp::Ge => Ok(Value::Bool(va >= vb)),
+        BinOp::Concat => match (va, vb) {
+            (Value::List(x), Value::List(y)) => {
+                let mut out = x.to_vec();
+                out.extend(y.iter().cloned());
+                Ok(Value::list(out))
+            }
+            _ => Ok(Value::str(format!("{}{}", raw_str(va), raw_str(vb)))),
+        },
+        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => arith(op, va, vb),
+        BinOp::And | BinOp::Or => unreachable!("short-circuit ops are evaluated lazily"),
+    }
+}
+
+fn arith(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        return match op {
+            BinOp::Add => Ok(Value::Int(x.wrapping_add(*y))),
+            BinOp::Sub => Ok(Value::Int(x.wrapping_sub(*y))),
+            BinOp::Mul => Ok(Value::Int(x.wrapping_mul(*y))),
+            BinOp::Div => {
+                if *y == 0 {
+                    Err(OverlogError::Eval("integer division by zero".into()))
+                } else {
+                    Ok(Value::Int(x.wrapping_div(*y)))
+                }
+            }
+            BinOp::Mod => {
+                if *y == 0 {
+                    Err(OverlogError::Eval("integer modulo by zero".into()))
+                } else {
+                    Ok(Value::Int(x.wrapping_rem(*y)))
+                }
+            }
+            _ => unreachable!("arith called with arithmetic op"),
+        };
+    }
+    let (x, y) = (
+        a.as_float()
+            .ok_or_else(|| OverlogError::Eval(format!("arithmetic on non-number {a}")))?,
+        b.as_float()
+            .ok_or_else(|| OverlogError::Eval(format!("arithmetic on non-number {b}")))?,
+    );
+    Ok(match op {
+        BinOp::Add => Value::Float(x + y),
+        BinOp::Sub => Value::Float(x - y),
+        BinOp::Mul => Value::Float(x * y),
+        BinOp::Div => Value::Float(x / y),
+        BinOp::Mod => Value::Float(x % y),
+        _ => unreachable!("arith called with arithmetic op"),
+    })
 }
 
 #[cfg(test)]

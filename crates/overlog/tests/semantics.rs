@@ -2,8 +2,10 @@
 //! events, negation, aggregation, deletion rules, views, location
 //! specifiers, and timers.
 
+mod oracle;
+
 use boom_overlog::value::row;
-use boom_overlog::{OverlogError, OverlogRuntime, TraceOp, Value};
+use boom_overlog::{OverlogError, OverlogRuntime, Row, TraceOp, Value};
 use std::sync::Arc;
 
 fn rt(src: &str) -> OverlogRuntime {
@@ -451,13 +453,181 @@ fn index_maintenance_costs_the_delta_not_the_bucket() {
     );
 }
 
+/// Aggregate fold semantics, pinned with hand-written rows: `null` is
+/// "unset" for `max` (and a group of only nulls stays `null`), `min` and
+/// `max` order `Int` and `Float` together numerically, `set<>` emits in
+/// `BTreeSet` order, `count<*>` counts rows, `sum` stays an `Int` until a
+/// `Float` arrives, `avg` over an empty body derives nothing, and groups
+/// are emitted sorted by key.
+#[test]
+fn aggregate_folds_match_hand_computed_rows() {
+    let mut r = rt("define(obs, keys(0), {Int, Int, Value});
+                    define(num, keys(0), {Int, Int, Value});
+                    define(empty, keys(0), {Int});
+                    define(lo, keys(0), {Int, Value});
+                    define(hi, keys(0), {Int, Value});
+                    define(n, keys(0), {Int, Int});
+                    define(bag, keys(0), {Int, Value});
+                    define(total, keys(0), {Int, Value});
+                    define(mean, keys(0), {Int, Value});
+                    define(none, keys(), {Value});
+                    lo(G, min<V>) :- obs(_, G, V);
+                    hi(G, max<V>) :- obs(_, G, V);
+                    n(G, count<*>) :- obs(_, G, _);
+                    bag(G, set<V>) :- obs(_, G, V);
+                    total(G, sum<V>) :- num(_, G, V);
+                    mean(G, avg<V>) :- num(_, G, V);
+                    none(avg<V>) :- empty(V);
+                    watch(n);");
+    let obs = [
+        (4, Value::Null),
+        (4, Value::Int(7)),
+        (2, Value::Null),
+        (3, Value::Int(3)),
+        (3, Value::Float(2.5)),
+        (3, Value::Int(4)),
+        (1, Value::str("c")),
+        (1, Value::str("a")),
+        (1, Value::str("b")),
+        (1, Value::str("a")),
+    ];
+    for (k, (g, v)) in obs.into_iter().enumerate() {
+        r.insert("obs", row(vec![Value::Int(k as i64), Value::Int(g), v]))
+            .unwrap();
+    }
+    let num = [
+        (1, Value::Int(1)),
+        (1, Value::Int(2)),
+        (2, Value::Int(1)),
+        (2, Value::Float(2.5)),
+    ];
+    for (k, (g, v)) in num.into_iter().enumerate() {
+        r.insert("num", row(vec![Value::Int(k as i64), Value::Int(g), v]))
+            .unwrap();
+    }
+    r.tick(0).unwrap();
+    let pairs = |t: &str| -> Vec<(i64, Value)> {
+        r.table(t)
+            .unwrap()
+            .sorted_rows()
+            .iter()
+            .map(|row| (row[0].as_int().unwrap(), row[1].clone()))
+            .collect()
+    };
+    let s = Value::str;
+    assert_eq!(
+        pairs("hi")[..3],
+        [(1, s("c")), (2, Value::Null), (3, Value::Int(4))]
+    );
+    assert_eq!(pairs("hi")[3], (4, Value::Int(7)), "null never wins max");
+    assert_eq!(
+        pairs("lo")[..3],
+        [(1, s("a")), (2, Value::Null), (3, Value::Float(2.5))]
+    );
+    let n: Vec<(i64, Value)> = (1..=4).zip([4, 1, 3, 2].map(Value::Int)).collect();
+    assert_eq!(pairs("n"), n);
+    assert_eq!(
+        pairs("bag"),
+        vec![
+            (1, Value::list(vec![s("a"), s("b"), s("c")])),
+            (2, Value::list(vec![Value::Null])),
+            (
+                3,
+                Value::list(vec![Value::Float(2.5), Value::Int(3), Value::Int(4)])
+            ),
+            (4, Value::list(vec![Value::Null, Value::Int(7)])),
+        ]
+    );
+    assert_eq!(
+        pairs("total"),
+        vec![(1, Value::Int(3)), (2, Value::Float(3.5))]
+    );
+    assert_eq!(
+        pairs("mean"),
+        vec![(1, Value::Float(1.5)), (2, Value::Float(1.75))]
+    );
+    assert_eq!(r.count("none"), 0, "avg over an empty body derives no row");
+    // Groups are dispatched in key order, whatever the scan order.
+    let emitted: Vec<i64> = r
+        .take_trace()
+        .iter()
+        .filter(|e| e.op == TraceOp::Insert)
+        .map(|e| e.row[0].as_int().unwrap())
+        .collect();
+    assert_eq!(emitted, vec![1, 2, 3, 4]);
+}
+
+/// A runtime with a counting builtin `f(X)` (returns `X`) and the call
+/// counter it bumps.
+fn counting(src: &str) -> (OverlogRuntime, Arc<std::sync::atomic::AtomicUsize>) {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let calls = Arc::new(AtomicUsize::new(0));
+    let mut r = OverlogRuntime::new("n1");
+    let c = Arc::clone(&calls);
+    r.register_builtin("f", move |args| {
+        c.fetch_add(1, Ordering::SeqCst);
+        Ok(args[0].clone())
+    });
+    r.load(src).unwrap();
+    (r, calls)
+}
+
+/// `&&` and `||` never evaluate their right side once the left decides,
+/// and stateful builtins run exactly once per assignment and per index
+/// probe: the call counts below are exact.
+#[test]
+fn short_circuit_and_stateful_builtin_call_counts() {
+    use std::sync::atomic::Ordering;
+    let calls_for = |cond: &str, a: bool| {
+        let src = format!(
+            "event go, {{Int, Bool}};
+             define(hit, keys(0), {{Int}});
+             hit(K) :- go(K, A), {cond};"
+        );
+        let (mut r, calls) = counting(&src);
+        r.insert("go", row(vec![Value::Int(1), Value::Bool(a)]))
+            .unwrap();
+        r.settle(0).unwrap();
+        (calls.load(Ordering::SeqCst), r.count("hit"))
+    };
+    assert_eq!(calls_for("A || f(true)", true), (0, 1));
+    assert_eq!(calls_for("A || f(true)", false), (1, 1));
+    assert_eq!(calls_for("A && f(true)", true), (1, 1));
+    assert_eq!(calls_for("A && f(true)", false), (0, 0));
+
+    let (mut r, calls) = counting(
+        "event go, {Int};
+         define(slot, keys(0), {Int});
+         define(assigned, keys(0), {Int, Int});
+         define(probed, keys(0), {Int});
+         assigned(K, V) :- go(K), V := f(K) * 10;
+         probed(K) :- go(K), slot(f(K));",
+    );
+    for k in 0..4 {
+        r.insert("slot", row(vec![Value::Int(k)])).unwrap();
+    }
+    r.tick(0).unwrap();
+    assert_eq!(calls.load(Ordering::SeqCst), 0);
+    // Three events: one assignment call and one probe-key call each
+    // (the probe misses for 7, and a miss is an empty bucket, not a scan).
+    for k in [1, 3, 7] {
+        r.insert("go", row(vec![Value::Int(k)])).unwrap();
+    }
+    r.settle(1).unwrap();
+    assert_eq!(calls.load(Ordering::SeqCst), 6);
+    assert_eq!(ints(&r, "probed"), vec![vec![1], vec![3]]);
+    assert_eq!(r.count("assigned"), 3);
+}
+
 mod kernels {
     use super::*;
+    use crate::oracle::Oracle;
     use boom_overlog::PlanOptions;
 
     /// A workload exercising every kernel op shape: a typed int-keyed
     /// join (the `i64` index path), a string-keyed join (generic
-    /// probe), negation, a filter, an assignment, and a deletion rule.
+    /// probe), negation, a filter, nested arithmetic, and a deletion
+    /// rule.
     const SRC: &str = "event report, {Int, Int};
          define(node, keys(0), {Int, Str});
          define(cap, keys(0), {Int, Int});
@@ -467,101 +637,94 @@ mod kernels {
          define(over, keys(0), {Int, Int, Int});
          define(who, keys(0), {Int, Int});
          load(N, W) :- report(N, W), notin banned(N);
-         over(N, W, S) :- load(N, W), cap(N, C), W > C, S := W + C;
+         over(N, W, S) :- load(N, W), cap(N, C), W > C, S := (W + C) * 2 - N;
          who(N, O) :- load(N, _), node(N, Tag), owner(Tag, O);
          delete load(N, W) :- report(N, W), banned(N);";
 
-    fn dump(r: &OverlogRuntime) -> String {
+    /// One host insert: `(table, row)`.
+    type Input = (&'static str, Row);
+
+    /// The seed rows, then one burst of `reports` reports.
+    fn inputs(reports: i64) -> (Vec<Input>, Vec<Input>) {
+        let mut seed = Vec::new();
+        for n in 0..16 {
+            let tag = Value::str(format!("t{}", n % 3));
+            seed.push(("node", row(vec![Value::Int(n), tag])));
+            seed.push(("cap", row(vec![Value::Int(n), Value::Int(40)])));
+        }
+        for g in 0..3 {
+            let owner = vec![Value::str(format!("t{g}")), Value::Int(100 + g)];
+            seed.push(("owner", row(owner)));
+        }
+        seed.push(("banned", row(vec![Value::Int(3)])));
+        let burst = (0..reports)
+            .map(|i| ("report", row(vec![Value::Int(i % 16), Value::Int(i)])))
+            .collect();
+        (seed, burst)
+    }
+
+    fn drive(opts: PlanOptions, reports: i64) -> (String, u64) {
+        let mut r = rt(SRC);
+        r.set_plan_options(opts);
+        let (seed, burst) = inputs(reports);
+        for (t, row) in seed {
+            r.insert(t, row).unwrap();
+        }
+        r.tick(0).unwrap();
+        for (t, row) in burst {
+            r.insert(t, row).unwrap();
+        }
+        r.tick(1).unwrap();
+        r.settle(1).unwrap();
+        let kernel_evals: u64 = r.rule_stats().iter().map(|(_, s)| s.kernel_evals).sum();
         let mut tables: Vec<String> = r.table_decls().map(|d| d.name.clone()).collect();
         tables.sort();
         let mut s = String::new();
         for t in tables {
             let table = r.table(&t).expect("declared");
-            if table.is_event() {
+            if table.is_event() || t == "me" {
                 continue;
             }
             for row in table.sorted_rows() {
                 s.push_str(&format!("{t}{row:?}\n"));
             }
         }
-        s
+        (s, kernel_evals)
     }
 
-    fn drive(kernels: bool) -> (String, u64) {
-        let mut r = rt(SRC);
-        r.set_plan_options(PlanOptions {
-            kernels,
-            ..Default::default()
-        });
-        for n in 0..16 {
-            r.insert(
-                "node",
-                row(vec![Value::Int(n), Value::str(format!("t{}", n % 3))]),
-            )
-            .unwrap();
-            r.insert("cap", row(vec![Value::Int(n), Value::Int(40)]))
-                .unwrap();
+    fn oracle(reports: i64) -> String {
+        let mut o = Oracle::new(SRC);
+        let (seed, burst) = inputs(reports);
+        for (t, row) in seed {
+            o.insert(t, row);
         }
-        for g in 0..3 {
-            r.insert(
-                "owner",
-                row(vec![Value::str(format!("t{g}")), Value::Int(100 + g)]),
-            )
-            .unwrap();
+        o.tick();
+        for (t, row) in burst {
+            o.insert(t, row);
         }
-        r.insert("banned", row(vec![Value::Int(3)])).unwrap();
-        r.tick(0).unwrap();
-        for i in 0..64i64 {
-            r.insert("report", row(vec![Value::Int(i % 16), Value::Int(i)]))
-                .unwrap();
-        }
-        r.tick(1).unwrap();
-        r.settle(1).unwrap();
-        let kernel_evals: u64 = r.rule_stats().iter().map(|(_, s)| s.kernel_evals).sum();
-        (dump(&r), kernel_evals)
+        o.settle();
+        o.dump()
     }
 
     #[test]
-    fn kernel_path_is_byte_identical_to_interpreter() {
-        let (with, on_evals) = drive(true);
-        let (without, off_evals) = drive(false);
-        assert_eq!(with, without, "kernels changed derived state");
-        assert!(on_evals > 0, "no evaluation ran through a kernel");
-        assert_eq!(off_evals, 0, "kernels ran while disabled");
+    fn kernel_path_matches_the_oracle() {
+        let (got, evals) = drive(PlanOptions::default(), 64);
+        assert_eq!(got, oracle(64), "kernels diverged from the oracle");
+        assert!(got.contains("over[") && got.contains("who["), "{got}");
+        assert!(evals > 0, "no evaluation was counted");
     }
 
     #[test]
     fn kernels_compose_with_maintenance() {
-        let run = |kernels: bool, maintenance: bool| {
-            let mut r = rt(SRC);
-            r.set_plan_options(PlanOptions {
-                kernels,
+        let want = oracle(96);
+        for maintenance in [false, true] {
+            let opts = PlanOptions {
                 maintenance,
                 ..Default::default()
-            });
-            for n in 0..16 {
-                r.insert(
-                    "node",
-                    row(vec![Value::Int(n), Value::str(format!("t{}", n % 3))]),
-                )
-                .unwrap();
-                r.insert("cap", row(vec![Value::Int(n), Value::Int(40)]))
-                    .unwrap();
-            }
-            r.tick(0).unwrap();
-            for i in 0..96i64 {
-                r.insert("report", row(vec![Value::Int(i % 16), Value::Int(i)]))
-                    .unwrap();
-            }
-            r.tick(1).unwrap();
-            r.settle(1).unwrap();
-            dump(&r)
-        };
-        let reference = run(false, false);
-        for maintenance in [false, true] {
+            };
             assert_eq!(
-                run(true, maintenance),
-                reference,
+                drive(opts, 96).0,
+                want,
                 "kernels diverged at maintenance={maintenance}"
             );
         }

@@ -51,7 +51,7 @@ struct QueryState {
     source: String,
     /// `(client node, tag)` of every subscription fed by this view.
     subs: BTreeSet<(String, i64)>,
-    /// Analyzer warnings (W0010 full recompute, W0011 interpreted, …)
+    /// Analyzer warnings (W0010 full recompute, W0011 untyped probe, …)
     /// naming the view, counted when the view was installed.
     warnings: u64,
 }

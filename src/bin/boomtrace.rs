@@ -25,8 +25,8 @@ commands:
   profile           print the top-K hot rules (fires, attempts, delta_in,
                     maint — scoped evaluations run by the incremental
                     view maintainer instead of a full recompute — and
-                    kernel — evaluations served by a compiled kernel
-                    instead of the interpreter)
+                    kernel — every evaluation of the rule's compiled
+                    kernels: tick rounds, folds, maintenance, rebuilds)
   chrome <OUT>      write a Chrome trace-event JSON of the run to OUT
                     (open in about:tracing or ui.perfetto.dev)
   metrics           print the unified metrics registry as JSON

@@ -21,7 +21,6 @@ fn baseline() -> PlanOptions {
         reorder_joins: false,
         scoped_views: false,
         maintenance: false,
-        kernels: false,
         ..PlanOptions::default()
     }
 }
