@@ -2,8 +2,9 @@
 //! (dense table IDs + zero-copy deltas) and serial-vs-parallel wall
 //! clock for same-instant node evaluation, on three workloads:
 //!
-//! * `chunk-churn` — E9's chunk alloc/abandon storm on one NameNode: the
-//!   semi-naive delta + view-maintenance hot path, CPU-bound.
+//! * `chunk-churn` — a chunk alloc/abandon storm against a stable
+//!   namespace on one NameNode: the semi-naive delta +
+//!   view-maintenance hot path, CPU-bound.
 //! * `mr-shuffle` — a full wordcount (map schedule, shuffle, reduce
 //!   commit) through the JobTracker/TaskTracker Overlog programs.
 //! * `partitioned-nn-4` — E6's create storm against a 4-way partitioned

@@ -557,113 +557,6 @@ pub fn run_monitoring(nops: usize) -> MonitoringResult {
 }
 
 // ---------------------------------------------------------------------------
-// E9: analysis-driven planner
-// ---------------------------------------------------------------------------
-
-/// Result of the planner A/B measurement: the same metadata-churn workload
-/// under the source-order baseline plan and the analysis-driven plan
-/// (cardinality-ordered joins + CALM-scoped view recompute).
-#[derive(Debug, Clone)]
-pub struct PlannerAbResult {
-    /// NameNode CPU microseconds per op, baseline planner.
-    pub cpu_us_baseline: f64,
-    /// NameNode CPU microseconds per op, analysis-driven planner.
-    pub cpu_us_analysis: f64,
-    /// Full view recomputations, baseline planner.
-    pub view_recomputes_baseline: u64,
-    /// View recomputations that survived CALM scoping.
-    pub view_recomputes_analysis: u64,
-    /// Semi-naive fixpoint rounds, baseline planner.
-    pub fixpoint_rounds_baseline: u64,
-    /// Semi-naive fixpoint rounds, analysis-driven planner.
-    pub fixpoint_rounds_analysis: u64,
-    /// The two runs ended in byte-identical materialized state.
-    pub identical: bool,
-    /// Ops per run.
-    pub ops: usize,
-}
-
-/// Directories in the stable namespace the churn runs against.
-const E9_DIRS: usize = 8;
-/// Files per directory in the stable namespace.
-const E9_FILES_PER_DIR: usize = 20;
-
-/// E9: chunk-allocation churn against a stable namespace — the GFS/HDFS
-/// steady state, where the directory tree barely moves while blocks come
-/// and go constantly. Each op allocates a chunk and then abandons it (a
-/// failed pipeline write); the abandon deletes an `fchunk` row, which
-/// forces view maintenance. The baseline planner re-derives *every* view
-/// — including the recursive `fqpath` resolution over the whole tree —
-/// while the CALM-scoped plan knows the tree views cannot depend on
-/// `fchunk` and rebuilds only the chunk-family views. The byte-identity
-/// check guards that the faster plan is still the same program.
-pub fn run_planner_ab(nops: usize) -> PlannerAbResult {
-    use boom_overlog::PlanOptions;
-    use boom_simnet::{overlog_state_fingerprint, set_plan_options_all};
-    struct Run {
-        cpu_us: f64,
-        view_recomputes: u64,
-        fixpoint_rounds: u64,
-        fingerprint: String,
-    }
-    let run = |opts: PlanOptions| -> Run {
-        let mut c = FsClusterBuilder {
-            control: ControlPlane::Declarative,
-            datanodes: 2,
-            replication: 1,
-            ..Default::default()
-        }
-        .build();
-        set_plan_options_all(&mut c.sim, opts);
-        let cl = c.client.clone();
-        // Unmeasured setup: a namespace big enough that recomputing path
-        // resolution is real work.
-        cl.mkdir(&mut c.sim, "/data").expect("mkdir works");
-        for d in 0..E9_DIRS {
-            cl.mkdir(&mut c.sim, &format!("/data/d{d}")).expect("mkdir");
-            for f in 0..E9_FILES_PER_DIR {
-                cl.create(&mut c.sim, &format!("/data/d{d}/f{f}"))
-                    .expect("create");
-            }
-        }
-        let before = c.sim.with_actor::<OverlogActor, _>("nn0", |nn| {
-            nn.busy = std::time::Duration::ZERO;
-            nn.runtime().eval_stats()
-        });
-        for i in 0..nops {
-            let path = format!("/data/d{}/f{}", i % E9_DIRS, i % E9_FILES_PER_DIR);
-            let (chunk, _) = cl.new_chunk(&mut c.sim, &path).expect("newchunk");
-            cl.abandon(&mut c.sim, &path, chunk).expect("abandon");
-        }
-        let (busy, stats) = c
-            .sim
-            .with_actor::<OverlogActor, _>("nn0", |nn| (nn.busy, nn.runtime().eval_stats()));
-        Run {
-            cpu_us: busy.as_secs_f64() * 1e6 / nops as f64,
-            view_recomputes: stats.view_recomputes - before.view_recomputes,
-            fixpoint_rounds: stats.fixpoint_rounds - before.fixpoint_rounds,
-            fingerprint: overlog_state_fingerprint(&mut c.sim),
-        }
-    };
-    let base = run(PlanOptions {
-        reorder_joins: false,
-        scoped_views: false,
-        ..PlanOptions::default()
-    });
-    let tuned = run(PlanOptions::default());
-    PlannerAbResult {
-        cpu_us_baseline: base.cpu_us,
-        cpu_us_analysis: tuned.cpu_us,
-        view_recomputes_baseline: base.view_recomputes,
-        view_recomputes_analysis: tuned.view_recomputes,
-        fixpoint_rounds_baseline: base.fixpoint_rounds,
-        fixpoint_rounds_analysis: tuned.fixpoint_rounds,
-        identical: base.fingerprint == tuned.fingerprint,
-        ops: nops,
-    }
-}
-
-// ---------------------------------------------------------------------------
 // E10: engine hot path — tuples/sec and serial-vs-parallel wall clock
 // ---------------------------------------------------------------------------
 
@@ -736,9 +629,16 @@ fn engine_mode(sim: &mut boom_simnet::Sim, parallel: bool) {
     }
 }
 
-/// Chunk-allocation churn against a stable namespace (the E9 workload):
-/// a single NameNode's tick hot path, dominated by semi-naive deltas and
-/// view maintenance.
+/// Directories, and files per directory, of the chunk churn's stable
+/// namespace.
+const CHURN_DIRS: usize = 8;
+const CHURN_FILES_PER_DIR: usize = 20;
+
+/// Chunk-allocation churn against a stable namespace — the GFS/HDFS
+/// steady state, where the directory tree barely moves while blocks come
+/// and go: each op allocates a chunk and then abandons it (a failed
+/// pipeline write). A single NameNode's tick hot path, dominated by
+/// semi-naive deltas and view maintenance.
 fn bench_chunk_churn(parallel: bool, nops: usize) -> EngineRun {
     use boom_simnet::overlog_state_fingerprint;
     let mut c = FsClusterBuilder {
@@ -751,9 +651,9 @@ fn bench_chunk_churn(parallel: bool, nops: usize) -> EngineRun {
     engine_mode(&mut c.sim, parallel);
     let cl = c.client.clone();
     cl.mkdir(&mut c.sim, "/data").expect("mkdir works");
-    for d in 0..E9_DIRS {
+    for d in 0..CHURN_DIRS {
         cl.mkdir(&mut c.sim, &format!("/data/d{d}")).expect("mkdir");
-        for f in 0..E9_FILES_PER_DIR {
+        for f in 0..CHURN_FILES_PER_DIR {
             cl.create(&mut c.sim, &format!("/data/d{d}/f{f}"))
                 .expect("create");
         }
@@ -761,7 +661,7 @@ fn bench_chunk_churn(parallel: bool, nops: usize) -> EngineRun {
     let (t0, b0, k0) = overlog_meters(&mut c.sim);
     let wall = std::time::Instant::now();
     for i in 0..nops {
-        let path = format!("/data/d{}/f{}", i % E9_DIRS, i % E9_FILES_PER_DIR);
+        let path = format!("/data/d{}/f{}", i % CHURN_DIRS, i % CHURN_FILES_PER_DIR);
         let (chunk, _) = cl.new_chunk(&mut c.sim, &path).expect("newchunk");
         cl.abandon(&mut c.sim, &path, chunk).expect("abandon");
     }

@@ -14,7 +14,6 @@
 //! | E6 | `e6_partitioned_nn` | metadata throughput vs partition count |
 //! | E7 | `e7_monitoring` | tracing-overhead table |
 //! | E8 | `e8_chaos` | chaos schedules: fault injection + self-healing invariants |
-//! | E9 | `e9_planner` | analysis-driven planner A/B (CALM-scoped views, join order) |
 //! | E10 | `e10_engine` | engine hot path: tuples/CPU-sec, serial-vs-parallel identity |
 //! | E12 | `e12_recovery` | durable recovery: replay cost vs history and checkpoint interval |
 //! | E13 | `e13_serve` | serving tier: standing subscriptions at scale over a loaded NameNode |

@@ -53,7 +53,7 @@ pub struct BaselineNameNode {
     fchunks: HashMap<i64, Vec<i64>>, // fileid -> ordered chunk ids
     chunk_file: HashMap<i64, i64>,
     datanodes: BTreeMap<String, u64>, // node -> last hb
-    chunk_locs: HashMap<i64, BTreeMap<String, u64>>, // chunk -> node -> last report
+    chunk_locs: BTreeMap<i64, BTreeMap<String, u64>>, // chunk -> node -> last report
     /// Served request count (instrumentation).
     pub requests_served: u64,
 }
@@ -70,7 +70,7 @@ impl BaselineNameNode {
             fchunks: HashMap::new(),
             chunk_file: HashMap::new(),
             datanodes: BTreeMap::new(),
-            chunk_locs: HashMap::new(),
+            chunk_locs: BTreeMap::new(),
             requests_served: 0,
         };
         nn.reset();

@@ -87,9 +87,9 @@ type MapOutput = Vec<BTreeMap<String, i64>>;
 /// The TaskTracker actor.
 pub struct TaskTracker {
     cfg: TaskTrackerConfig,
-    running: HashMap<AttemptKey, Running>,
+    running: BTreeMap<AttemptKey, Running>,
     queued: VecDeque<Launch>,
-    map_outputs: HashMap<(i64, i64), MapOutput>,
+    map_outputs: BTreeMap<(i64, i64), MapOutput>,
     read_reqs: HashMap<i64, AttemptKey>,
     fetch_reqs: HashMap<i64, AttemptKey>,
     fetch_deadlines: HashMap<u64, AttemptKey>,
@@ -146,9 +146,9 @@ impl TaskTracker {
     pub fn new(cfg: TaskTrackerConfig) -> Self {
         TaskTracker {
             cfg,
-            running: HashMap::new(),
+            running: BTreeMap::new(),
             queued: VecDeque::new(),
-            map_outputs: HashMap::new(),
+            map_outputs: BTreeMap::new(),
             read_reqs: HashMap::new(),
             fetch_reqs: HashMap::new(),
             fetch_deadlines: HashMap::new(),

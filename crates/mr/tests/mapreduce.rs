@@ -230,3 +230,38 @@ fn speculative_copies_are_killed_after_first_completion() {
         .sum();
     assert!(killed > 0, "redundant attempts must be reaped");
 }
+
+/// Two same-seed wordcount runs in one process must drive the JobTracker
+/// identically, counters included: nothing a TaskTracker sends may depend
+/// on per-process hash order (simnet draws each send's latency in send
+/// order, so reordered sends reorder delivery).
+#[test]
+fn same_seed_runs_drive_the_jobtracker_identically() {
+    use boom_overlog::{EvalStats, RuleStats};
+    use boom_simnet::OverlogActor;
+    let run = || -> (EvalStats, Vec<(String, RuleStats)>) {
+        let mut c = MrClusterBuilder {
+            workers: 3,
+            slots: 4,
+            chunk_size: 1024,
+            ..Default::default()
+        }
+        .build();
+        let inputs = c.load_corpus(3, 3, 1_500).unwrap();
+        let fs = c.fs.clone();
+        let mut driver = c.driver.clone();
+        let deadline = c.sim.now() + 600_000;
+        driver
+            .run(&mut c.sim, &fs, &wordcount_job(inputs, 2), deadline)
+            .unwrap();
+        c.sim.with_actor::<OverlogActor, _>("jt", |jt| {
+            let rt = jt.runtime_ref();
+            let mut rules = rt.rule_stats();
+            for (_, s) in &mut rules {
+                s.eval_ns = 0; // wall-clock, not a deterministic counter
+            }
+            (rt.eval_stats(), rules)
+        })
+    };
+    assert_eq!(run(), run(), "JobTracker counters differ between runs");
+}

@@ -7,16 +7,13 @@
 //! classifies every planned view-rule variant by the cheapest maintenance
 //! algorithm that is *provably* sound for it:
 //!
-//! * **counting** — set-semantic select/project over a single positive
-//!   predicate, no negation, whole-row-keyed head. Each source row derives
-//!   its head rows independently, so a multiplicity count per derived row
-//!   maintains the view under weighted `(row, +1/-1)` deltas: a head row
-//!   leaves exactly when its support reaches zero.
-//! * **support-rederive** — joins, negation, or a keyed head: deleting a
-//!   source row can retract head rows other sources still support, so the
-//!   runtime deletes the touched head keys and re-derives them from the
-//!   current state (delete-and-rederive, scoped to the keys the delta
-//!   names). A delta row that does not carry the head key itself is
+//! * **support-rederive** — every non-recursive, non-aggregate view whose
+//!   head key the delta names: deleting a source row can retract head rows
+//!   other sources still support, so the runtime deletes the touched head
+//!   keys and re-derives them from the current state (delete-and-rederive,
+//!   scoped to the keys the delta names). A single-predicate filter over a
+//!   whole-row-keyed head is the simplest case: its key is the delta row's
+//!   own columns. A delta row that does not carry the head key itself is
 //!   *join-bound*: the runtime finds its touched keys by running the
 //!   variant over the delta against current state. That is sound only
 //!   when every other positive predicate of the rule binds the whole key
@@ -61,9 +58,6 @@ use std::fmt;
 /// The maintenance verdict for one semi-naive variant of a view rule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum MaintVerdict {
-    /// Weighted multiplicity counting: each delta row's derivations are
-    /// independent, a per-row support count decides retraction.
-    Counting,
     /// Delete-and-rederive the head keys the delta names, against current
     /// state. Sound under stratified negation.
     SupportRederive {
@@ -115,7 +109,6 @@ impl MaintVerdict {
 impl fmt::Display for MaintVerdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            MaintVerdict::Counting => write!(f, "counting(weighted row deltas)"),
             MaintVerdict::SupportRederive { key, join_bound } => {
                 if *join_bound {
                     write!(f, "support-rederive(key={key:?}, join-bound)")
@@ -238,19 +231,7 @@ pub fn variant_verdict(
     }
 
     let key = placement_cols(decls, &rule.head.table, rule.head.args.len());
-    // Counting needs no key binding at all: single positive predicate, no
-    // negation, whole-row-keyed head means every derivation stands or
-    // falls with exactly one source row, and a support count per derived
-    // row replays that — even when the head columns are computed.
     let npos = rule.positive_predicates().count();
-    let negated = rule
-        .body
-        .iter()
-        .any(|b| matches!(b, BodyElem::Pred(p) if p.negated));
-    let whole_row = key.len() == rule.head.args.len();
-    if npos == 1 && !negated && whole_row {
-        return MaintVerdict::Counting;
-    }
     let binds_key = |p: &Predicate| key.iter().all(|&c| head_col_bound(rule, c, p));
     if let Some(&c) = key.iter().find(|&&c| !head_col_bound(rule, c, delta)) {
         // Join-bound: sound when every other positive predicate names the
@@ -568,10 +549,6 @@ pub fn render_json(report: &MaintReport) -> String {
                 out.push(',');
             }
             match v {
-                MaintVerdict::Counting => out.push_str(&format!(
-                    "{{\"delta\":{},\"verdict\":\"counting\"}}",
-                    json_string(delta)
-                )),
                 MaintVerdict::SupportRederive { key, join_bound } => out.push_str(&format!(
                     "{{\"delta\":{},\"verdict\":\"support-rederive\",\"key\":{key:?},\
                      \"join_bound\":{join_bound}}}",
@@ -667,14 +644,6 @@ pub struct AnchorEval {
 /// The compiled maintenance strategy for one view table.
 #[derive(Debug, Clone)]
 pub enum ViewMaint {
-    /// Weighted multiplicity counting over single-predicate rules.
-    Counting {
-        /// `(rule id, variant index)` per deriving rule (each rule has
-        /// exactly one positive predicate).
-        rules: Vec<(usize, usize)>,
-        /// The source table of each rule, parallel to `rules`.
-        sources: Vec<TableId>,
-    },
     /// Re-fold only the touched groups of a single aggregate rule.
     GroupRecompute {
         /// The aggregate rule id.
@@ -915,42 +884,10 @@ pub fn view_strategies(
             continue;
         }
 
-        // Non-aggregate views: counting when every rule is a simple
-        // single-predicate projection over a whole-row-keyed head, else
-        // keyed delete-and-rederive when every rule can anchor.
+        // Non-aggregate views: keyed delete-and-rederive when every rule
+        // can anchor.
         let arity = compiled[rids[0]].head_args.len();
         let key_cols = placement_cols(decls, &compiled[rids[0]].head_table, arity);
-        let whole_row = key_cols.len() == arity;
-        let countable = whole_row
-            && rids.iter().all(|&r| {
-                let rule = &rules[r];
-                rule.positive_predicates().count() == 1
-                    && !rule
-                        .body
-                        .iter()
-                        .any(|b| matches!(b, BodyElem::Pred(p) if p.negated))
-            });
-        if countable {
-            let mut crules = Vec::new();
-            let mut sources = Vec::new();
-            for &rid in rids {
-                let cr = &compiled[rid];
-                let Some(vi) = variant_for(cr, 0) else {
-                    continue 'views;
-                };
-                crules.push((rid, vi));
-                sources.push(cr.positive_tids[0]);
-            }
-            out.insert(
-                v,
-                ViewMaint::Counting {
-                    rules: crules,
-                    sources,
-                },
-            );
-            continue;
-        }
-
         let mut anchors = Vec::new();
         let mut sources = Vec::new();
         for &rid in rids {
@@ -1031,27 +968,45 @@ mod tests {
     }
 
     #[test]
-    fn single_pred_whole_row_view_counts() {
+    fn single_pred_whole_row_view_rederives_its_key() {
         let rep = maint_report(
             "define(src, keys(0), {Int, Int});
              define(v, keys(0,1), {Int, Int});
              src(1, 2);
              v(X, Y) :- src(X, Y), Y > 0;",
         );
-        assert_eq!(verdict(&rep, 0, 0), &MaintVerdict::Counting, "{rep:?}");
+        assert_eq!(
+            verdict(&rep, 0, 0),
+            &MaintVerdict::SupportRederive {
+                key: vec![0, 1],
+                join_bound: false
+            },
+            "{rep:?}"
+        );
     }
 
     #[test]
-    fn computed_head_still_counts() {
-        // The head column is a pure function of the source row: counting
-        // needs no inverse, so this still certifies.
+    fn computed_head_key_is_fixable_full() {
+        // The delta row does not carry the computed key column, so no
+        // touched key can be named: the view recomputes.
         let rep = maint_report(
             "define(src, keys(0), {Int});
              define(v, keys(0), {Int});
              src(1);
              v(Y) :- src(X), Y := X + 1;",
         );
-        assert_eq!(verdict(&rep, 0, 0), &MaintVerdict::Counting);
+        let v = verdict(&rep, 0, 0);
+        assert!(
+            matches!(
+                v,
+                MaintVerdict::FullRecompute {
+                    code: "unbound-head-key",
+                    fixable: true,
+                    ..
+                }
+            ),
+            "{v:?}"
+        );
     }
 
     #[test]
@@ -1264,7 +1219,7 @@ mod tests {
     }
 
     #[test]
-    fn negated_body_means_rederive_not_counting() {
+    fn negated_body_means_rederive() {
         let rep = maint_report(
             "define(a, keys(0), {Int});
              define(b, keys(0), {Int});
@@ -1291,8 +1246,8 @@ mod tests {
         );
         let s = render(&rep);
         assert!(s.contains("view rule `rule#0(v)` -> v"), "{s}");
-        assert!(s.contains("delta src: counting"), "{s}");
+        assert!(s.contains("delta src: support-rederive(key=[0, 1])"), "{s}");
         let j = render_json(&rep);
-        assert!(j.contains("\"verdict\":\"counting\""), "{j}");
+        assert!(j.contains("\"verdict\":\"support-rederive\""), "{j}");
     }
 }

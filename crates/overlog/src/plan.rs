@@ -173,26 +173,19 @@ pub struct CompiledRule {
     pub slot_names: Vec<String>,
 }
 
-/// Analysis-driven planner knobs. Both default to on; hosts can disable
-/// them (see `OverlogRuntime::set_plan_options`) to fall back to the
-/// source-order, globally-recomputing evaluator — useful for A/B
-/// verification that the optimizations preserve behavior.
+/// Planner options. `maintenance` is the one live switch (see
+/// `OverlogRuntime::set_plan_options`); the other fields are vestigial,
+/// survive only because the stack benchmark prints them, and plan
+/// construction rejects any value but their default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanOptions {
-    /// Reorder join schedules by estimated cardinality (the
-    /// [`CostModel`]): among ready body elements, run the cheapest next
-    /// instead of following source order. Rules whose bodies call
-    /// builtins outside the pure standard library keep their source
-    /// order (a stateful builtin like `qid()` must not change how often
-    /// it runs).
+    /// Vestigial and always `true`: join schedules are always reordered
+    /// by estimated cardinality (the [`CostModel`]) unless the rule calls
+    /// a builtin outside the pure standard library (DESIGN.md §12).
     pub reorder_joins: bool,
-    /// Scope view recomputation to the views transitively affected by
-    /// the tables that were actually deleted/overwritten, instead of
-    /// rebuilding every view. Monotonic views (derivation closure free
-    /// of negation and aggregation — the CALM certificate from
-    /// [`mono::derivation_taint`]) additionally skip recomputes
-    /// triggered by *insertions* into negated view inputs: growth can
-    /// only grow them, and the incremental delta path already did.
+    /// Vestigial and always `true`: view maintenance is always scoped to
+    /// the views transitively affected by the dirty tables, and growth
+    /// skips the CALM-certified monotonic views (DESIGN.md §12).
     pub scoped_views: bool,
     /// Vestigial and always 1: intra-node sharded evaluation was removed
     /// (DESIGN.md §14). The field survives only because the stack
@@ -296,8 +289,9 @@ pub fn compile(decls: &HashMap<String, TableDecl>, rules: &[Rule]) -> Result<Pla
 /// declared table not yet interned is added in sorted name order so
 /// standalone compilation is deterministic. The plan keeps a snapshot.
 ///
-/// Panics if `options` sets a vestigial field (`shards`, `kernels`) to
-/// anything but its one legal value.
+/// Panics if `options` sets a vestigial field (`reorder_joins`,
+/// `scoped_views`, `shards`, `kernels`) to anything but its one legal
+/// value.
 pub fn compile_with(
     decls: &HashMap<String, TableDecl>,
     rules: &[Rule],
@@ -305,13 +299,14 @@ pub fn compile_with(
     options: PlanOptions,
     ids: &mut TableIds,
 ) -> Result<Plan> {
+    let live = PlanOptions {
+        maintenance: options.maintenance,
+        ..PlanOptions::default()
+    };
     assert_eq!(
-        options.shards, 1,
-        "PlanOptions::shards must be 1: sharded evaluation was removed (DESIGN.md §14)"
-    );
-    assert!(
-        options.kernels,
-        "PlanOptions::kernels must be true: kernels are the only evaluator (DESIGN.md §18)"
+        options, live,
+        "only PlanOptions::maintenance is live; the other fields' alternative paths \
+         were removed (DESIGN.md §12, §14, §18)"
     );
     {
         let mut names: Vec<&str> = decls.keys().map(String::as_str).collect();
@@ -342,7 +337,7 @@ pub fn compile_with(
     let mut kernel_plan = kernel::KernelPlan::default();
     for (i, rule) in rules.iter().enumerate() {
         let mut ra = analysis::validate_rule(i, rule, decls)?;
-        if options.reorder_joins && rule_reorderable(rule) {
+        if rule_reorderable(rule) {
             let npos = rule.positive_predicates().count();
             for (d, order) in ra.orders.iter_mut().enumerate() {
                 let delta = (npos > 0).then_some(d);
@@ -945,15 +940,26 @@ mod tests {
         let p = plan_with(src, &[("big", 500), ("cfg", 2)], PlanOptions::default());
         assert_eq!(scan_tables(&p, 0, 0), vec!["e", "cfg", "big"]);
 
-        let p = plan_with(
-            src,
-            &[("big", 500), ("cfg", 2)],
+        // The uncosted schedule `validate_rule` hands the planner is the
+        // source order `e`, `big`, `cfg`.
+        let prog = parse_program(src).unwrap();
+        let decls = prog.declarations().map(|d| (d.name.clone(), d.clone()));
+        let rule = prog.rules().next().unwrap();
+        let ra = analysis::validate_rule(0, rule, &decls.collect()).unwrap();
+        assert_eq!(ra.orders[0], vec![0, 1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "only PlanOptions::maintenance is live")]
+    fn switched_off_paths_are_rejected() {
+        plan_with(
+            "define(p, keys(0), {Int}); p(1);",
+            &[],
             PlanOptions {
-                reorder_joins: false,
+                scoped_views: false,
                 ..Default::default()
             },
         );
-        assert_eq!(scan_tables(&p, 0, 0), vec!["e", "big", "cfg"]);
     }
 
     #[test]

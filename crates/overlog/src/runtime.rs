@@ -30,9 +30,10 @@
 //!
 //! Rules whose head and entire body are materialized (and carry no location
 //! specifier) define *views*. Views are maintained incrementally on
-//! insertion; any deletion or key-overwrite of a view input triggers a full
-//! recomputation of all view tables at the end of the tick — a simple,
-//! sound replacement for JOL's incremental delete propagation.
+//! insertion. A deletion or key-overwrite of a view input affects only the
+//! views that depend on it; those are updated in place by the strategy
+//! [`crate::analysis::maint`] certified for them, or recomputed (always,
+//! with `PlanOptions::maintenance` off).
 
 use crate::analysis::maint::{AnchorEval, Bind, DredRule, KeySource, SourceDep, ViewMaint};
 use crate::analysis::{self, Diagnostic, SourceMap};
@@ -148,7 +149,7 @@ pub struct RuleStats {
     /// Delta rows consumed by this rule's semi-naive variants.
     pub delta_in: u64,
     /// Scoped evaluations driven by the incremental view maintainer
-    /// (counting deltas, group re-folds, keyed re-derivations) — work that
+    /// (group re-folds, keyed re-derivations, DRed passes) — work that
     /// replaced a from-scratch recompute of this rule's head.
     pub maint_evals: u64,
     /// Wall-clock nanoseconds spent evaluating the body, excluding head
@@ -180,7 +181,7 @@ pub struct EvalStats {
     /// maintainer exists to avoid.
     pub view_rows_rebuilt: u64,
     /// View rows the incremental maintainer deleted (retracted keys,
-    /// emptied groups, DRed over-deletions, drained support counts).
+    /// emptied groups, DRed over-deletions).
     pub maint_rows_retracted: u64,
     /// View rows the incremental maintainer inserted or overwrote
     /// (re-derived keys, re-folded groups, DRed re-derivations).
@@ -372,13 +373,6 @@ pub struct OverlogRuntime {
     /// Host counters registered via [`OverlogRuntime::register_counter`],
     /// snapshot and restored with durable state.
     counters: Vec<(String, Arc<AtomicI64>)>,
-    /// Per-view derivation multiplicities for `Counting`-certified views
-    /// (see [`crate::analysis::maint`]): how many source rows currently
-    /// derive each head row. Presence of a view's map means its counts are
-    /// *valid* — removal is invalidation, and the next maintenance round
-    /// falls back to recomputation and rebuilds the map. Cleared wholesale
-    /// whenever the plan is replaced (rule ids and strategies shift).
-    maint_support: FxHashMap<TableId, FxHashMap<Row, i64>>,
 }
 
 impl std::fmt::Debug for OverlogRuntime {
@@ -563,7 +557,6 @@ impl OverlogRuntime {
             tap_log: Vec::new(),
             tap_suspended: false,
             counters: Vec::new(),
-            maint_support: FxHashMap::default(),
         };
         let me = TableDecl {
             name: "me".into(),
@@ -837,10 +830,6 @@ impl OverlogRuntime {
     }
 
     fn recompile(&mut self) -> Result<Plan> {
-        // Any plan replacement shifts rule ids and maintenance strategies;
-        // the Counting support counts accumulated under the old plan are
-        // meaningless under the new one.
-        self.maint_support.clear();
         plan::compile_with(
             &self.decls,
             &self.rule_sources,
@@ -875,9 +864,9 @@ impl OverlogRuntime {
         }
     }
 
-    /// Set the analysis-driven planner options (see
-    /// [`plan::PlanOptions`]) and recompile the plan. Table contents are
-    /// untouched, so hosts can flip options mid-run to A/B the optimizer.
+    /// Set the planner options (see [`plan::PlanOptions`]) and recompile
+    /// the plan. Table contents are untouched, so hosts can flip
+    /// maintenance mid-run to diff maintained against recomputed state.
     /// Panics on options that plan construction rejects (see
     /// [`plan::compile_with`]).
     pub fn set_plan_options(&mut self, opts: plan::PlanOptions) {
@@ -1578,7 +1567,7 @@ impl OverlogRuntime {
         if pre_dirty {
             let affected = self.affected_views(&ctx.shrink_dirty, &ctx.grow_dirty);
             if plan.options.maintenance {
-                self.update_views(&affected, &mut ctx, false)?;
+                self.update_views(&affected, &mut ctx)?;
             } else {
                 self.recompute_views(&affected, &mut ctx)?;
             }
@@ -1753,15 +1742,15 @@ impl OverlogRuntime {
         // 6. Propagate retractions into the affected views if any input
         // shrank (or a negated input of a non-monotonic view grew):
         // incrementally where the maintenance analysis certified a
-        // strategy, by full recomputation otherwise. With maintenance on
-        // this pass always runs, because Counting views must consume their
-        // sources' insert logs every tick to keep support counts valid.
+        // strategy, by full recomputation otherwise.
         let affected = self.affected_views(&ctx.shrink_dirty, &ctx.grow_dirty);
         let views_recomputed = !affected.is_empty();
-        if plan.options.maintenance {
-            self.update_views(&affected, &mut ctx, true)?;
-        } else if views_recomputed {
-            self.recompute_views(&affected, &mut ctx)?;
+        if views_recomputed {
+            if plan.options.maintenance {
+                self.update_views(&affected, &mut ctx)?;
+            } else {
+                self.recompute_views(&affected, &mut ctx)?;
+            }
         }
 
         // 7. Queue inductive insertions for the next tick.
@@ -2100,18 +2089,14 @@ impl OverlogRuntime {
     }
 
     /// Which view tables must be rebuilt, given the inputs that shrank
-    /// (deletions, key-overwrites) and the negated inputs that grew.
-    /// With scoping disabled this is all-or-nothing, the pre-analysis
-    /// behavior; with scoping on, only views whose transitive dependency
-    /// closure intersects the dirty set are affected — and growth skips
-    /// the CALM-certified monotonic views entirely, because insertions
-    /// were already propagated incrementally by the delta path.
+    /// (deletions, key-overwrites) and the negated inputs that grew: only
+    /// views whose transitive dependency closure intersects the dirty set
+    /// are affected — and growth skips the CALM-certified monotonic views
+    /// entirely, because insertions were already propagated incrementally
+    /// by the delta path.
     fn affected_views(&self, shrink: &IdSet, grow: &IdSet) -> IdSet {
         if shrink.is_empty() && grow.is_empty() {
             return IdSet::new();
-        }
-        if !self.plan.options.scoped_views {
-            return self.plan.view_tables.clone();
         }
         let mut out = IdSet::new();
         for (&v, deps) in &self.plan.view_deps {
@@ -2131,14 +2116,6 @@ impl OverlogRuntime {
     /// `tick`, local to this call.
     fn recompute_views(&mut self, affected: &IdSet, ctx: &mut TickCtx) -> Result<()> {
         self.eval_stats.view_recomputes += 1;
-        // A from-scratch rebuild severs the delta lineage the Counting
-        // support counts were accumulated along; drop them (the next
-        // maintenance round rebuilds the map from the rebuilt state).
-        if !self.maint_support.is_empty() {
-            for v in affected.iter() {
-                self.maint_support.remove(&v);
-            }
-        }
         // Tapped views are about to be cleared and rebuilt wholesale;
         // snapshot them so the rebuild can be reported to subscribers as
         // an exact retract/insert diff (cost is bounded by the recompute
@@ -2327,20 +2304,8 @@ impl OverlogRuntime {
     /// where the analysis certified a strategy, and recompute the rest in
     /// one batch. Falling back never changes results — a maintained view
     /// and a recomputed view hold byte-identical rows — only cost.
-    ///
-    /// `final_drain` marks the end-of-tick call, which runs even with an
-    /// empty affected set: Counting views must consume their sources'
-    /// insert logs every tick to keep support counts complete.
-    fn update_views(
-        &mut self,
-        affected: &IdSet,
-        ctx: &mut TickCtx,
-        final_drain: bool,
-    ) -> Result<()> {
+    fn update_views(&mut self, affected: &IdSet, ctx: &mut TickCtx) -> Result<()> {
         let plan = Arc::clone(&self.plan);
-        if affected.is_empty() && !final_drain {
-            return Ok(());
-        }
         // Split the affected set: strategy views are ordered topologically
         // (a view reading another view updates after it, so scoped
         // re-evaluation joins against settled upstream state); the rest
@@ -2406,9 +2371,6 @@ impl OverlogRuntime {
                 .get(&v)
                 .expect("ordered views have strategies")
             {
-                ViewMaint::Counting { rules, sources } => {
-                    self.maintain_counting(v, rules, sources, true, &plan, ctx)?
-                }
                 ViewMaint::GroupRecompute {
                     rule,
                     anchor,
@@ -2439,14 +2401,9 @@ impl OverlogRuntime {
         if !fallback.is_empty() {
             self.recompute_views(&fallback, ctx)?;
             // The rebuild subsumed everything in the fallback views' logs:
-            // advance their marks past the logs, and recount Counting
-            // supports from the rebuilt state so the next round maintains.
+            // advance their marks past the logs.
             for v in fallback.iter() {
                 match plan.maint.views.get(&v) {
-                    Some(ViewMaint::Counting { rules, sources }) => {
-                        self.rebuild_support(v, rules, &plan, ctx)?;
-                        self.advance_marks(v, sources.iter().copied(), ctx);
-                    }
                     Some(ViewMaint::GroupRecompute { sources, .. })
                     | Some(ViewMaint::KeyRederive { sources, .. }) => {
                         self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
@@ -2458,107 +2415,7 @@ impl OverlogRuntime {
                 }
             }
         }
-        if final_drain {
-            // Counting views not touched above still consume their insert
-            // logs (support must count every derivation this tick made),
-            // and deletions they were never asked to act on invalidate
-            // them — the recompute engine would have left those rows stale
-            // this tick, so acting here would diverge.
-            for (&v, strat) in plan.maint.views.iter() {
-                let ViewMaint::Counting { rules, sources } = strat else {
-                    continue;
-                };
-                if affected.contains(v) {
-                    continue;
-                }
-                self.maintain_counting(v, rules, sources, false, &plan, ctx)?;
-            }
-        }
         Ok(())
-    }
-
-    /// Maintain a Counting view: every derivation named by a source's
-    /// delta log adjusts the derived row's support count by ±1; rows whose
-    /// support appears are inserted, rows whose support drains to zero are
-    /// deleted. With `act = false` (view not affected this round) the
-    /// table is not touched — the semi-naive path already propagated the
-    /// inserts — and only the counts advance.
-    fn maintain_counting(
-        &mut self,
-        v: TableId,
-        rules: &[(usize, usize)],
-        sources: &[TableId],
-        act: bool,
-        plan: &Plan,
-        ctx: &mut TickCtx,
-    ) -> Result<bool> {
-        let Some(mut support) = self.maint_support.remove(&v) else {
-            if act {
-                // Invalid counts cannot drive deletions: fall back (the
-                // recompute revalidates via `rebuild_support`).
-                return Ok(false);
-            }
-            // Invalid and idle: stay invalid, just consume the logs.
-            self.advance_marks(v, sources.iter().copied(), ctx);
-            return Ok(true);
-        };
-        if !act {
-            let deleted = sources.iter().any(|&s| {
-                let (_, d0) = ctx.view_marks.get(&(v, s)).copied().unwrap_or((0, 0));
-                ctx.m_del[s.idx()].len() > d0
-            });
-            if deleted {
-                // A source shrank without dirtying this view (an aggregate
-                // refreshed its own groups mid-tick): the recompute engine
-                // leaves the stale rows until the view is next affected,
-                // so the counts can no longer be kept truthful — drop them.
-                self.advance_marks(v, sources.iter().copied(), ctx);
-                return Ok(true);
-            }
-        }
-        // Insert side first: a row that gains and loses a derivation in
-        // the same tick never transits zero support.
-        for (&(rid, vi), &s) in rules.iter().zip(sources) {
-            let (a0, _) = ctx.view_marks.get(&(v, s)).copied().unwrap_or((0, 0));
-            if ctx.m_add[s.idx()].len() == a0 {
-                continue;
-            }
-            let rule = &plan.rules[rid];
-            let (rows, sups) =
-                self.maint_eval(rule, vi, &ctx.m_add[s.idx()][a0..], &mut ctx.eval)?;
-            for (i, row) in rows.into_iter().enumerate() {
-                *support.entry(row.clone()).or_insert(0) += 1;
-                if act {
-                    let inputs: &[(String, Row)] = sups
-                        .as_ref()
-                        .and_then(|sv| sv.get(i))
-                        .map(|x| x.as_slice())
-                        .unwrap_or(&[]);
-                    self.maint_insert(v, rule, row, inputs, ctx)?;
-                }
-            }
-        }
-        for (&(rid, vi), &s) in rules.iter().zip(sources) {
-            let (_, d0) = ctx.view_marks.get(&(v, s)).copied().unwrap_or((0, 0));
-            if ctx.m_del[s.idx()].len() == d0 {
-                continue;
-            }
-            let rule = &plan.rules[rid];
-            let (rows, _) = self.maint_eval(rule, vi, &ctx.m_del[s.idx()][d0..], &mut ctx.eval)?;
-            for row in rows {
-                let n = support.entry(row.clone()).or_insert(0);
-                *n -= 1;
-                if *n <= 0 {
-                    support.remove(&row);
-                    if self.tables[v.idx()].delete(&row) {
-                        self.log_maint_delete(v, &row, ctx);
-                    }
-                }
-            }
-        }
-        self.advance_marks(v, sources.iter().copied(), ctx);
-        self.maint_support.insert(v, support);
-        Ok(true)
     }
 
     /// Maintain a GroupRecompute view: re-fold exactly the groups the
@@ -3008,33 +2865,6 @@ impl OverlogRuntime {
         out
     }
 
-    /// Recount a Counting view's support from the current source tables
-    /// (used right after a fallback recompute revalidated its contents).
-    fn rebuild_support(
-        &mut self,
-        v: TableId,
-        rules: &[(usize, usize)],
-        plan: &Plan,
-        ctx: &mut TickCtx,
-    ) -> Result<()> {
-        let mut support: FxHashMap<Row, i64> = FxHashMap::default();
-        for &(rid, vi) in rules {
-            let rule = &plan.rules[rid];
-            let src = rule.positive_tids[0];
-            let all: Vec<Row> = self.tables[src.idx()].scan().cloned().collect();
-            if all.is_empty() {
-                continue;
-            }
-            let (rows, _) =
-                self.eval_variant(rule, &rule.variants[vi], Some(&all), &mut ctx.eval)?;
-            for row in rows {
-                *support.entry(row).or_insert(0) += 1;
-            }
-        }
-        self.maint_support.insert(v, support);
-        Ok(())
-    }
-
     /// Mark every `(view, source)` delta-log pair fully consumed.
     fn advance_marks(&self, v: TableId, sources: impl Iterator<Item = TableId>, ctx: &mut TickCtx) {
         for s in sources {
@@ -3143,7 +2973,8 @@ impl OverlogRuntime {
 enum Acc {
     Count(i64),
     Sum(Value),
-    /// `Null` means unset: the first input always replaces it.
+    /// `Null` means unset: the first non-`null` input replaces it, and
+    /// `null` inputs are skipped (a group of only `null`s folds to `null`).
     Min(Value),
     Max(Value),
     Avg(f64, i64),
@@ -3168,12 +2999,12 @@ impl Acc {
             Acc::Count(c) => *c += 1,
             Acc::Sum(s) => *s = add_values(s, input)?,
             Acc::Min(m) => {
-                if *m == Value::Null || *input < *m {
+                if !matches!(input, Value::Null) && (matches!(m, Value::Null) || *input < *m) {
                     *m = input.clone();
                 }
             }
             Acc::Max(m) => {
-                if *m == Value::Null || *input > *m {
+                if !matches!(input, Value::Null) && (matches!(m, Value::Null) || *input > *m) {
                     *m = input.clone();
                 }
             }

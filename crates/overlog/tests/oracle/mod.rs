@@ -484,14 +484,14 @@ fn schedule(body: &[BodyElem]) -> Vec<usize> {
     order
 }
 
-/// Fold one aggregate's inputs in derivation order: `min`/`max` start
-/// unset (`null`, which any next input replaces), `sum` stays integral
+/// Fold one aggregate's inputs in derivation order: `min`/`max` skip
+/// `null` inputs and fold only-`null` groups to `null`, `sum` stays integral
 /// until a float arrives, `set` emits in sorted order, and `avg` of
 /// nothing is `null`.
 fn fold(kind: AggKind, vals: &[Value]) -> Value {
     let extreme = |better: fn(&Value, &Value) -> bool| {
         vals.iter().fold(Value::Null, |m, v| {
-            if m == Value::Null || better(v, &m) {
+            if !matches!(v, Value::Null) && (m == Value::Null || better(v, &m)) {
                 v.clone()
             } else {
                 m

@@ -241,8 +241,8 @@ impl OverlogActor {
 }
 
 /// Apply planner options to every Overlog node in the simulation — the
-/// A/B switch the planner experiments flip between the analysis-driven
-/// plan and the source-order baseline.
+/// switch the byte-identity tests flip between maintained and recomputed
+/// views.
 pub fn set_plan_options_all(sim: &mut crate::Sim, opts: boom_overlog::PlanOptions) {
     for name in sim.node_names() {
         sim.try_with_actor::<OverlogActor, _>(&name, |a| a.runtime().set_plan_options(opts));
