@@ -1,8 +1,10 @@
-//! Merge every `results/BENCH_e*.json` into one trajectory table.
+//! Merge every `results/BENCH_*.json` into one trajectory table.
 //!
 //! Each full-scale experiment binary (`e10_engine`, `e14_maint`, …)
 //! drops a machine-readable `results/BENCH_e{N}.json` next to its text
-//! report. This bin stitches those files into a single GitHub-flavored
+//! report, and `results/bench_stack.py` records the stack benchmark's
+//! end-to-end medians per workload in `results/BENCH_stack.json`. This
+//! bin stitches those files into a single GitHub-flavored
 //! markdown table so CI can append the whole perf trajectory to
 //! `$GITHUB_STEP_SUMMARY` in one step:
 //!
@@ -271,6 +273,18 @@ const SHAPES: &[(&str, &[&str], &[&str])] = &[
             "fingerprint_match",
         ],
     ),
+    (
+        "stack",
+        &["workload"],
+        &[
+            "ops_per_s",
+            "op_p50_us",
+            "setup_s",
+            "peak_rss_mib",
+            "samples",
+            "commit",
+        ],
+    ),
 ];
 
 fn shape_for(experiment: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
@@ -359,6 +373,7 @@ fn summarize(files: &[(String, Json)]) -> (String, Vec<String>) {
 /// summary must fail rather than shrink.
 const REQUIRED: &[&str] = &[
     "BENCH_e1.json",
+    "BENCH_stack.json",
     "BENCH_e10.json",
     "BENCH_e12.json",
     "BENCH_e13.json",
@@ -374,7 +389,7 @@ fn main() -> ExitCode {
             .filter(|p| {
                 p.file_name()
                     .and_then(|n| n.to_str())
-                    .is_some_and(|n| n.starts_with("BENCH_e") && n.ends_with(".json"))
+                    .is_some_and(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
             })
             .collect(),
         Err(e) => {
@@ -384,7 +399,7 @@ fn main() -> ExitCode {
     };
     paths.sort();
     if paths.is_empty() {
-        eprintln!("results_summary: no BENCH_e*.json under `{dir}`");
+        eprintln!("results_summary: no BENCH_*.json under `{dir}`");
         return ExitCode::FAILURE;
     }
     let mut files = Vec::new();
@@ -483,6 +498,20 @@ mod tests {
         let (md, hollow) = summarize(&[("BENCH_e1.json".into(), doc)]);
         assert!(md.contains("| e1_code_size | crate/boom-overlog | rust_lines=9000 |"));
         assert!(md.contains("| e1_code_size | program/fs/namenode.olg | rules=70, olg_lines=189 |"));
+        assert!(hollow.is_empty());
+    }
+
+    #[test]
+    fn stack_shape_shows_end_to_end_medians() {
+        let doc = parse(
+            r#"{"experiment":"stack","cases":[{"workload":"fs-meta","samples":10,"setup_s":0.41,"setup_s_q1":0.4,"setup_s_q3":0.42,"ops_per_s":18900,"op_p50_us":21.5,"peak_rss_mib":42.25,"commit":"abc1234","layers":{"simnet.self_s":0.1}}]}"#,
+        )
+        .unwrap();
+        let (md, hollow) = summarize(&[("BENCH_stack.json".into(), doc)]);
+        assert!(md.contains(
+            "| stack | fs-meta | ops_per_s=18900, op_p50_us=21.50, setup_s=0.41, \
+             peak_rss_mib=42.25, samples=10, commit=abc1234 |"
+        ));
         assert!(hollow.is_empty());
     }
 

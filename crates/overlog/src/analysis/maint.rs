@@ -50,7 +50,7 @@
 use super::ProgramContext;
 use crate::ast::{BodyElem, Expr, HeadArg, Predicate, Rule, Span, TableDecl};
 use crate::ids::{TableId, TableIds};
-use crate::plan::{CExpr, CHeadArg, CompiledRule};
+use crate::plan::{CHeadArg, CompiledRule};
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -707,31 +707,22 @@ pub struct MaintPlan {
 
 /// The key projection of `pred`'s row onto the head columns `key_cols`,
 /// or `None` when some component is neither a constant nor a verbatim
-/// column of the predicate. `slot_names` translates compiled head slots
-/// back to source-level variable names.
-fn source_binds(
-    cr: &CompiledRule,
-    rule: &Rule,
-    key_cols: &[usize],
-    pred: &Predicate,
-) -> Option<Vec<Bind>> {
+/// column of the predicate.
+fn source_binds(rule: &Rule, key_cols: &[usize], pred: &Predicate) -> Option<Vec<Bind>> {
     let mut binds = Vec::with_capacity(key_cols.len());
     for &c in key_cols {
-        match cr.head_args.get(c) {
-            Some(CHeadArg::Expr(CExpr::Lit(v))) => binds.push(Bind::Const(v.clone())),
-            Some(CHeadArg::Expr(CExpr::Slot(s))) => {
-                let name = cr.slot_names.get(*s)?;
+        match rule.head.args.get(c) {
+            Some(HeadArg::Expr(Expr::Lit(v))) => binds.push(Bind::Const(v.clone())),
+            Some(HeadArg::Expr(Expr::Var(name))) => {
                 let col = pred
                     .args
                     .iter()
-                    .position(|a| matches!(a, Expr::Var(w) if *w == *name))?;
+                    .position(|a| matches!(a, Expr::Var(w) if w == name))?;
                 binds.push(Bind::Col(col));
             }
             _ => return None,
         }
     }
-    // Head args on the AST side must agree (paranoia against slot reuse).
-    debug_assert_eq!(rule.head.args.len(), cr.head_args.len());
     Some(binds)
 }
 
@@ -758,7 +749,7 @@ fn dred_strategy(
             rule: rid,
             variant: variant_for(cr, pos)?,
             tid,
-            binds: source_binds(cr, rule, &head_cols, pred)?,
+            binds: source_binds(rule, &head_cols, pred)?,
         };
         let recursive = rule
             .positive_predicates()
@@ -832,7 +823,7 @@ pub fn view_strategies(
                 .head_args
                 .iter()
                 .enumerate()
-                .filter(|(_, a)| matches!(a, CHeadArg::Expr(_)))
+                .filter(|(_, a)| matches!(a, CHeadArg::Key))
                 .map(|(i, _)| i)
                 .collect();
             // Declared key order -> position in the group tuple
@@ -851,7 +842,7 @@ pub fn view_strategies(
                 let Some(tid) = ids.get(&p.table) else {
                     continue 'views;
                 };
-                let binds = source_binds(cr, rule, &group_cols, p);
+                let binds = source_binds(rule, &group_cols, p);
                 if !p.negated {
                     if anchor.is_none() && binds.is_some() {
                         if let Some(vi) = variant_for(cr, pos) {
@@ -899,7 +890,7 @@ pub fn view_strategies(
                 let Some(tid) = ids.get(&p.table) else {
                     continue 'views;
                 };
-                let binds = source_binds(cr, rule, &key_cols, p);
+                let binds = source_binds(rule, &key_cols, p);
                 let mut keys = KeySource::Unbound;
                 if !p.negated {
                     if anchor.is_none() && binds.is_some() {

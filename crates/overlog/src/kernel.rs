@@ -1,13 +1,15 @@
-//! Plan-time kernel compiler: every planned rule variant becomes a
-//! monomorphic scan/probe program over direct column addressing, and the
-//! kernel is the runtime's only rule evaluator.
+//! Plan-time kernel compiler: every rule variant becomes a monomorphic
+//! scan/probe program over direct column addressing, and the kernel is
+//! the runtime's only rule evaluator.
 //!
-//! [`compile_variant`] walks a planned [`crate::plan::Variant`] once, at
-//! plan build, and resolves every slot reference to a *place*: a column
-//! of a scan level, an assignment register, or a constant. Expressions compile to a
-//! [`KExpr`] tree with places at its leaves (nested arithmetic, unary
-//! operators, builtin calls, list construction and short-circuit
-//! `&&`/`||`), so compilation is total: every variant gets a [`Kernel`].
+//! [`compile_variant`] lowers a rule variant in one step, at plan build,
+//! straight from the AST: it walks the body in the variant's execution
+//! order and maps every variable to a *place* as it is bound — a column
+//! of a scan level, an assignment register, or a constant. Expressions
+//! compile to a [`KExpr`] tree with places at its leaves (nested
+//! arithmetic, unary operators, builtin calls, list construction and
+//! short-circuit `&&`/`||`), so compilation is total: every variant gets
+//! a [`Kernel`].
 //! The runtime executes joins without an environment, and index probes
 //! over all-`int` key columns hash raw `i64`s into the integer-keyed
 //! buckets of the column set's one index
@@ -23,13 +25,13 @@
 //! mirroring how maintenance verdicts flow out of the planner.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast::{BinOp, UnOp};
+use crate::ast::{BinOp, BodyElem, Expr, HeadArg, Rule, UnOp};
 use crate::builtins::Builtins;
 use crate::error::{OverlogError, Result};
 use crate::ids::TableId;
-use crate::plan::{CExpr, CHeadArg, Op, Pat};
 use crate::value::{eval_binop, eval_unop, Row, TypeTag, Value};
 
 /// Where a kernel operand's value lives at run time.
@@ -74,7 +76,7 @@ pub struct KCheck {
     pub indexed: bool,
 }
 
-/// Kernel operator: the compiled twin of [`Op`].
+/// Kernel operator: one step of a rule variant's schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub enum KOp {
     /// Iterate candidate rows of `tid`, stacking each on the level stack
@@ -181,121 +183,136 @@ pub struct KernelPlan {
     pub verdicts: Vec<Vec<KernelVerdict>>,
 }
 
-/// Compile one planned variant's operators into a kernel.
+/// Where each variable bound so far lives, by name.
+type Places<'a> = HashMap<&'a str, KOperand>;
+
+/// Lower one semi-naive variant of a validated rule straight from the AST.
 ///
-/// `col_type` resolves a table column to its *declared* type (the
-/// soundness source for typed probes: inserts only typecheck declared
-/// types, so only declared-`int` columns provably hold ints);
-/// `table_name` resolves dense ids for verdict labels. Every planned
-/// variant compiles: an error here means the planner emitted a slot read
-/// before its binding, an internal plan error.
+/// The walk follows `order`, the analysis's execution order over the rule
+/// body, and maps each variable to its place the first time it is bound:
+/// a column of a scan level, or an assignment register. `delta_pred` is
+/// the ordinal of the positive predicate that reads the delta. `tid_of`
+/// resolves table names. `col_type` resolves a column's *declared* type,
+/// the soundness source for typed probes: inserts only typecheck declared
+/// types, so only declared-`int` columns provably hold ints. The analysis
+/// guarantees every variable is bound before it is read, so an error here
+/// is an internal plan error.
 pub fn compile_variant(
-    ops_in: &[Op],
+    rule: &Rule,
+    order: &[usize],
     delta_pred: Option<usize>,
-    head_args: &[CHeadArg],
-    nslots: usize,
+    tid_of: &dyn Fn(&str) -> TableId,
     col_type: &dyn Fn(TableId, usize) -> TypeTag,
-    table_name: &dyn Fn(TableId) -> String,
 ) -> Result<(Kernel, KernelVerdict)> {
-    let mut origins: Vec<Option<KOperand>> = vec![None; nslots];
-    let mut ops = Vec::with_capacity(ops_in.len());
+    let mut places = Places::new();
+    let mut ops = Vec::with_capacity(order.len());
     let mut level_tids = Vec::new();
     let mut regs = 0usize;
     let mut int_probes = 0usize;
     let mut value_cols: Vec<(String, usize)> = Vec::new();
 
-    for op in ops_in {
-        match op {
-            Op::Scan {
-                tid,
-                pred_idx,
-                pats,
-                index_cols,
-                const_checks,
-            } => {
-                // Probes are evaluated before rows are iterated, so they
-                // compile against *pre-scan* origins only (the planner
-                // guarantees boundness; this guarantees we never
-                // reference a column of the row being probed for).
-                let probes = compile_probes(pats, index_cols, &origins)?;
+    for &bi in order {
+        match &rule.body[bi] {
+            BodyElem::Pred(p) => {
+                let tid = tid_of(&p.table);
                 let level = level_tids.len();
-                level_tids.push(*tid);
-                for (c, pat) in pats.iter().enumerate() {
-                    if let Pat::Bind(slot) = pat {
-                        origins[*slot] = Some(KOperand::Col { level, col: c });
+                // A positive scan binds each variable's first occurrence to
+                // its column at this level; every other non-`_` column is
+                // an equality check.
+                let mut check_cols = Vec::new();
+                for (col, a) in p.args.iter().enumerate() {
+                    match a {
+                        Expr::Wildcard => {}
+                        Expr::Var(v) if !p.negated && !places.contains_key(v.as_str()) => {
+                            places.insert(v, KOperand::Col { level, col });
+                        }
+                        _ => check_cols.push(col),
                     }
                 }
-                // Checks run after binds: duplicate-variable patterns
-                // legally reference same-row columns.
-                let checks = compile_checks(pats, index_cols, &origins)?;
-                let int_probe = probe_typing(
-                    *tid,
-                    index_cols,
-                    col_type,
-                    table_name,
-                    &mut int_probes,
-                    &mut value_cols,
-                );
-                ops.push(KOp::Scan {
-                    tid: *tid,
-                    arity: pats.len(),
-                    is_delta: delta_pred == Some(*pred_idx),
-                    index_cols: index_cols.clone(),
-                    probes,
-                    int_probe,
-                    const_checks: const_checks.clone(),
-                    checks,
-                });
-            }
-            Op::NegScan {
-                tid,
-                pats,
-                index_cols,
-                const_checks,
-            } => {
-                if pats.iter().any(|p| matches!(p, Pat::Bind(_))) {
-                    return Err(internal("bind pattern in negated scan"));
+                // A check drives the index probe only when its variables
+                // were bound before this scan: a duplicate variable bound
+                // by an earlier column of the same predicate is checked
+                // per row. Probes run before rows are iterated, so they
+                // only ever read outer levels.
+                let index_cols: Vec<usize> = check_cols
+                    .iter()
+                    .copied()
+                    .filter(|&c| bound_before(&p.args[c], level, &places))
+                    .collect();
+                let probes = index_cols
+                    .iter()
+                    .map(|&c| compile_expr(&p.args[c], &places))
+                    .collect::<Result<_>>()?;
+                // Literal checks run first, as one direct comparison each.
+                let mut const_checks = Vec::new();
+                let mut checks = Vec::new();
+                for &col in &check_cols {
+                    match &p.args[col] {
+                        Expr::Lit(v) => const_checks.push((col, v.clone())),
+                        e => checks.push(KCheck {
+                            col,
+                            expr: compile_expr(e, &places)?,
+                            indexed: index_cols.contains(&col),
+                        }),
+                    }
                 }
-                let probes = compile_probes(pats, index_cols, &origins)?;
-                let checks = compile_checks(pats, index_cols, &origins)?;
                 let int_probe = probe_typing(
-                    *tid,
-                    index_cols,
+                    tid,
+                    &p.table,
+                    &index_cols,
                     col_type,
-                    table_name,
                     &mut int_probes,
                     &mut value_cols,
                 );
-                ops.push(KOp::NegScan {
-                    tid: *tid,
-                    arity: pats.len(),
-                    index_cols: index_cols.clone(),
-                    probes,
-                    int_probe,
-                    const_checks: const_checks.clone(),
-                    checks,
+                let arity = p.args.len();
+                ops.push(if p.negated {
+                    KOp::NegScan {
+                        tid,
+                        arity,
+                        index_cols,
+                        probes,
+                        int_probe,
+                        const_checks,
+                        checks,
+                    }
+                } else {
+                    level_tids.push(tid);
+                    let ordinal = rule.body[..bi]
+                        .iter()
+                        .filter(|b| matches!(b, BodyElem::Pred(q) if !q.negated))
+                        .count();
+                    KOp::Scan {
+                        tid,
+                        arity,
+                        is_delta: delta_pred == Some(ordinal),
+                        index_cols,
+                        probes,
+                        int_probe,
+                        const_checks,
+                        checks,
+                    }
                 });
             }
-            Op::Filter(e) => ops.push(KOp::Filter(compile_expr(e, &origins)?)),
-            Op::Assign(slot, e) => {
-                let expr = compile_expr(e, &origins)?;
-                let r = regs;
+            BodyElem::Cond(e) => ops.push(KOp::Filter(compile_expr(e, &places)?)),
+            BodyElem::Assign(v, e) => {
+                let expr = compile_expr(e, &places)?;
+                places.insert(v, KOperand::Reg(regs));
+                ops.push(KOp::Assign(regs, expr));
                 regs += 1;
-                origins[*slot] = Some(KOperand::Reg(r));
-                ops.push(KOp::Assign(r, expr));
             }
         }
     }
 
-    let mut head = Vec::with_capacity(head_args.len());
-    for arg in head_args {
-        if let CHeadArg::Expr(e) = arg {
-            head.push(compile_expr(e, &origins)?);
+    // Key expressions first, then one input per aggregate that has one.
+    let mut head = Vec::with_capacity(rule.head.args.len());
+    for arg in &rule.head.args {
+        if let HeadArg::Expr(e) = arg {
+            head.push(compile_expr(e, &places)?);
         }
     }
-    for arg in head_args {
-        if let CHeadArg::Agg(_, Some(slot)) = arg {
-            head.push(KExpr::Operand(origin(*slot, &origins)?));
+    for arg in &rule.head.args {
+        if let HeadArg::Agg(_, Some(v)) = arg {
+            head.push(KExpr::Operand(place(v, &places)?));
         }
     }
 
@@ -315,47 +332,15 @@ pub fn compile_variant(
     ))
 }
 
-fn internal(what: &str) -> OverlogError {
-    OverlogError::Eval(format!("internal plan error: {what}"))
-}
-
-/// Compile the probe expressions of a scan's index columns.
-fn compile_probes(
-    pats: &[Pat],
-    index_cols: &[usize],
-    origins: &[Option<KOperand>],
-) -> Result<Vec<KExpr>> {
-    index_cols
-        .iter()
-        .map(|&c| match &pats[c] {
-            Pat::Check(e) => compile_expr(e, origins),
-            _ => Err(internal("index column is not a check")),
-        })
-        .collect()
-}
-
-/// Compile a scan's non-literal check columns, in column order (literal
-/// checks are the scan's `const_checks`).
-fn compile_checks(
-    pats: &[Pat],
-    index_cols: &[usize],
-    origins: &[Option<KOperand>],
-) -> Result<Vec<KCheck>> {
-    let mut checks = Vec::new();
-    for (c, pat) in pats.iter().enumerate() {
-        if let Pat::Check(e) = pat {
-            if !matches!(e, CExpr::Lit(_)) {
-                checks.push(KCheck {
-                    col: c,
-                    expr: compile_expr(e, origins)?,
-                    indexed: index_cols.contains(&c),
-                });
-            }
-        }
-    }
-    // Kernels live as long as the plan: keep exactly what they use.
-    checks.shrink_to_fit();
-    Ok(checks)
+/// Is every variable of `e` bound before the scan filling `level` runs?
+fn bound_before(e: &Expr, level: usize, places: &Places) -> bool {
+    let mut vars = Vec::new();
+    e.collect_vars(&mut vars);
+    vars.iter().all(|v| match places.get(v.as_str()) {
+        Some(KOperand::Col { level: l, .. }) => *l != level,
+        Some(_) => true,
+        None => false,
+    })
 }
 
 /// Classify one scan's probe: typed (`true`) when every probed column is
@@ -363,9 +348,9 @@ fn compile_checks(
 /// generic verdict. Probeless scans count as typed (nothing to hash).
 fn probe_typing(
     tid: TableId,
+    table: &str,
     index_cols: &[usize],
     col_type: &dyn Fn(TableId, usize) -> TypeTag,
-    table_name: &dyn Fn(TableId) -> String,
     int_probes: &mut usize,
     value_cols: &mut Vec<(String, usize)>,
 ) -> bool {
@@ -381,37 +366,39 @@ fn probe_typing(
         *int_probes += 1;
         true
     } else {
-        let name = table_name(tid);
-        value_cols.extend(untyped.into_iter().map(|c| (name.clone(), c)));
+        value_cols.extend(untyped.into_iter().map(|c| (table.to_string(), c)));
         false
     }
 }
 
-/// The place a slot was bound to.
-fn origin(slot: usize, origins: &[Option<KOperand>]) -> Result<KOperand> {
-    origins
-        .get(slot)
-        .cloned()
-        .flatten()
-        .ok_or_else(|| internal(&format!("slot {slot} read before any binding")))
+/// The place a variable was bound to.
+fn place(v: &str, places: &Places) -> Result<KOperand> {
+    places.get(v).cloned().ok_or_else(|| {
+        OverlogError::Eval(format!(
+            "internal plan error: variable {v} read before any binding"
+        ))
+    })
 }
 
-/// Compile a planned expression against the places bound so far. With no
-/// origins it compiles constant expressions (facts).
-pub(crate) fn compile_expr(e: &CExpr, origins: &[Option<KOperand>]) -> Result<KExpr> {
-    let sub = |e: &CExpr| compile_expr(e, origins).map(Box::new);
-    let all = |es: &[CExpr]| -> Result<Vec<KExpr>> {
-        es.iter().map(|e| compile_expr(e, origins)).collect()
+/// Compile an expression against the places bound so far. With no places
+/// it compiles constant expressions (facts).
+pub(crate) fn compile_expr(e: &Expr, places: &Places) -> Result<KExpr> {
+    let sub = |e: &Expr| compile_expr(e, places).map(Box::new);
+    let all = |es: &[Expr]| -> Result<Vec<KExpr>> {
+        es.iter().map(|e| compile_expr(e, places)).collect()
     };
     Ok(match e {
-        CExpr::Lit(v) => KExpr::Operand(KOperand::Const(v.clone())),
-        CExpr::Slot(s) => KExpr::Operand(origin(*s, origins)?),
-        CExpr::Binary(BinOp::And, a, b) => KExpr::And(sub(a)?, sub(b)?),
-        CExpr::Binary(BinOp::Or, a, b) => KExpr::Or(sub(a)?, sub(b)?),
-        CExpr::Binary(op, a, b) => KExpr::Binary(*op, sub(a)?, sub(b)?),
-        CExpr::Unary(op, a) => KExpr::Unary(*op, sub(a)?),
-        CExpr::Call(f, args) => KExpr::Call(f.clone(), all(args)?),
-        CExpr::List(items) => KExpr::List(all(items)?),
+        Expr::Lit(v) => KExpr::Operand(KOperand::Const(v.clone())),
+        // Only legal as a whole predicate argument; the analysis rejects
+        // it anywhere else.
+        Expr::Wildcard => KExpr::Operand(KOperand::Const(Value::Null)),
+        Expr::Var(v) => KExpr::Operand(place(v, places)?),
+        Expr::Binary(BinOp::And, a, b) => KExpr::And(sub(a)?, sub(b)?),
+        Expr::Binary(BinOp::Or, a, b) => KExpr::Or(sub(a)?, sub(b)?),
+        Expr::Binary(op, a, b) => KExpr::Binary(*op, sub(a)?, sub(b)?),
+        Expr::Unary(op, a) => KExpr::Unary(*op, sub(a)?),
+        Expr::Call(f, args) => KExpr::Call(f.clone(), all(args)?),
+        Expr::ListLit(items) => KExpr::List(all(items)?),
     })
 }
 
@@ -515,73 +502,73 @@ mod tests {
         );
     }
 
-    fn slot(s: usize) -> Box<CExpr> {
-        Box::new(CExpr::Slot(s))
+    fn var(v: &str) -> Box<Expr> {
+        Box::new(Expr::Var(v.into()))
     }
 
-    fn lit(i: i64) -> Box<CExpr> {
-        Box::new(CExpr::Lit(Value::Int(i)))
+    fn lit(i: i64) -> Box<Expr> {
+        Box::new(Expr::Lit(Value::Int(i)))
     }
 
     #[test]
     fn expressions_compile_to_place_trees() {
-        let origins = vec![Some(KOperand::Col { level: 0, col: 2 }), None];
+        let places = Places::from([("X", KOperand::Col { level: 0, col: 2 })]);
         let col = KExpr::Operand(KOperand::Col { level: 0, col: 2 });
-        assert_eq!(compile_expr(&CExpr::Slot(0), &origins).unwrap(), col);
+        assert_eq!(compile_expr(&var("X"), &places).unwrap(), col);
         // Nested arithmetic, calls and short-circuit booleans all compile.
-        let nested = CExpr::Binary(
+        let nested = Expr::Binary(
             BinOp::Add,
-            Box::new(CExpr::Binary(BinOp::Mul, slot(0), lit(2))),
+            Box::new(Expr::Binary(BinOp::Mul, var("X"), lit(2))),
             lit(1),
         );
         assert!(matches!(
-            compile_expr(&nested, &origins).unwrap(),
+            compile_expr(&nested, &places).unwrap(),
             KExpr::Binary(BinOp::Add, ref a, _) if matches!(**a, KExpr::Binary(BinOp::Mul, _, _))
         ));
-        let call = CExpr::Call("qid".into(), vec![]);
+        let call = Expr::Call("qid".into(), vec![]);
         assert_eq!(
-            compile_expr(&call, &origins).unwrap(),
+            compile_expr(&call, &places).unwrap(),
             KExpr::Call("qid".into(), vec![])
         );
-        let or = CExpr::Binary(BinOp::Or, slot(0), lit(1));
+        let or = Expr::Binary(BinOp::Or, var("X"), lit(1));
         assert!(matches!(
-            compile_expr(&or, &origins).unwrap(),
+            compile_expr(&or, &places).unwrap(),
             KExpr::Or(_, _)
         ));
-        // A slot read before its binding is an internal plan error.
-        assert!(compile_expr(&CExpr::Slot(1), &origins).is_err());
+        // A variable read before its binding is an internal plan error.
+        assert!(compile_expr(&var("Y"), &places).is_err());
     }
 
     #[test]
     fn nested_expressions_evaluate_over_places() {
         let b = Builtins::standard();
         let row: Row = std::sync::Arc::new(vec![Value::Int(3), Value::Int(4)]);
-        let origins = vec![
-            Some(KOperand::Col { level: 0, col: 0 }),
-            Some(KOperand::Col { level: 0, col: 1 }),
-        ];
+        let places = Places::from([
+            ("X", KOperand::Col { level: 0, col: 0 }),
+            ("Y", KOperand::Col { level: 0, col: 1 }),
+        ]);
         // (X + 1) * Y - abs(-2)
-        let e = CExpr::Binary(
+        let e = Expr::Binary(
             BinOp::Sub,
-            Box::new(CExpr::Binary(
+            Box::new(Expr::Binary(
                 BinOp::Mul,
-                Box::new(CExpr::Binary(BinOp::Add, slot(0), lit(1))),
-                slot(1),
+                Box::new(Expr::Binary(BinOp::Add, var("X"), lit(1))),
+                var("Y"),
             )),
-            Box::new(CExpr::Call(
+            Box::new(Expr::Call(
                 "abs".into(),
-                vec![CExpr::Unary(UnOp::Neg, lit(2))],
+                vec![Expr::Unary(UnOp::Neg, lit(2))],
             )),
         );
-        let k = compile_expr(&e, &origins).unwrap();
+        let k = compile_expr(&e, &places).unwrap();
         assert_eq!(eval(&k, &[&row], &[], &b).unwrap(), Value::Int(14));
         // Unknown builtins on the unevaluated side of `||` never run.
-        let or = CExpr::Binary(
+        let or = Expr::Binary(
             BinOp::Or,
-            slot(0),
-            Box::new(CExpr::Call("missing".into(), vec![])),
+            var("X"),
+            Box::new(Expr::Call("missing".into(), vec![])),
         );
-        let k = compile_expr(&or, &origins).unwrap();
+        let k = compile_expr(&or, &places).unwrap();
         assert!(truthy(&k, &[&row], &[], &b).unwrap());
     }
 }

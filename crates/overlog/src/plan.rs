@@ -1,17 +1,19 @@
-//! Rule compilation: variable slotting, join scheduling, and semi-naive
-//! variants.
+//! Rule compilation: join scheduling, semi-naive variants, and the
+//! whole-program plan.
 //!
 //! A rule is compiled into one [`Variant`] per positive body predicate: the
 //! variant where that predicate reads the *delta* (tuples new this round)
 //! while the others read full tables — the classic semi-naive rewrite.
+//! Each variant is lowered in one step, straight from the AST to the
+//! kernel the runtime executes ([`crate::kernel::compile_variant`]).
 //!
 //! All *validation* — reference checking, safety (range restriction),
 //! aggregate rules, stratification, view/base conflicts — lives in
 //! [`crate::analysis`] and is shared with the standalone `olgcheck`
 //! analyzer: this module calls [`crate::analysis::validate_rule`] and then
-//! follows the execution orders it returns when emitting operators, so
-//! emission cannot fail and load-time rejection is byte-for-byte the same
-//! check olgcheck reports.
+//! lowers each variant in the execution order it returns (reordered by
+//! estimated cardinality), so lowering cannot fail and load-time rejection
+//! is byte-for-byte the same check olgcheck reports.
 
 use crate::analysis::card::CostModel;
 use crate::analysis::maint::{self, MaintPlan};
@@ -22,79 +24,8 @@ use crate::error::Result;
 use crate::ids::{IdSet, TableId, TableIds};
 use crate::kernel;
 use crate::value::{TypeTag, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Compiled expression: like [`Expr`] but variables are resolved to
-/// slots (the kernel compiler then resolves each slot to a place).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CExpr {
-    /// Constant.
-    Lit(Value),
-    /// Variable slot.
-    Slot(usize),
-    /// Binary operation.
-    Binary(BinOp, Box<CExpr>, Box<CExpr>),
-    /// Unary operation.
-    Unary(UnOp, Box<CExpr>),
-    /// Builtin call.
-    Call(String, Vec<CExpr>),
-    /// List construction.
-    List(Vec<CExpr>),
-}
-
-/// Column pattern inside a positive scan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Pat {
-    /// Bind this column into a slot (first occurrence of a variable).
-    Bind(usize),
-    /// Evaluate the expression (fully bound) and require equality.
-    Check(CExpr),
-    /// `_` — ignore.
-    Wild,
-}
-
-/// One scheduled operator of a rule variant.
-#[derive(Debug, Clone)]
-pub enum Op {
-    /// Join against a table (or the delta set for the delta predicate).
-    Scan {
-        /// Table to read.
-        tid: TableId,
-        /// Index of this predicate among the rule's positive predicates.
-        pred_idx: usize,
-        /// Per-column patterns.
-        pats: Vec<Pat>,
-        /// Columns whose `Check` expressions are statically bound when
-        /// this op runs (every referenced variable was bound by an earlier
-        /// op in the schedule): the secondary index the scan probes. Empty
-        /// means a full scan. Computed at plan time so the evaluator's
-        /// lookups need no per-row boundness analysis and the runtime can
-        /// build the index eagerly.
-        index_cols: Vec<usize>,
-        /// Literal `Check` columns, extracted so the evaluator rejects
-        /// non-matching rows with one direct value comparison — before
-        /// binding slots or evaluating any expression. This is the fast
-        /// path for discriminator columns (e.g. the op-name column of a
-        /// protocol event scanned by every handler rule).
-        const_checks: Vec<(usize, Value)>,
-    },
-    /// Negated predicate: succeed when no matching row exists.
-    NegScan {
-        /// Table to probe.
-        tid: TableId,
-        /// Per-column patterns (`Bind` never occurs here).
-        pats: Vec<Pat>,
-        /// Statically bound check columns (see [`Op::Scan::index_cols`]).
-        index_cols: Vec<usize>,
-        /// Literal `Check` columns (see [`Op::Scan::const_checks`]).
-        const_checks: Vec<(usize, Value)>,
-    },
-    /// Boolean filter.
-    Filter(CExpr),
-    /// `X := expr`.
-    Assign(usize, CExpr),
-}
 
 /// One stratum's entry in [`Plan::strata_delta`]: `(table index,
 /// [(rule id, variant index)])` pairs sorted by table index.
@@ -106,8 +37,8 @@ pub struct Variant {
     /// Which positive predicate (by index among positives) reads the delta;
     /// `None` for rules without positive predicates (run once per tick).
     pub delta_pred: Option<usize>,
-    /// The delta scan's literal `Check` columns, copied up from the first
-    /// op when the delta scan is scheduled first (empty otherwise). When
+    /// The delta scan's literal checks (its `const_checks`), copied up
+    /// when the delta scan is scheduled first (empty otherwise). When
     /// no row of a round's delta slice passes these, the evaluator skips
     /// the variant without entering the kernel at all: with zero rows
     /// surviving the first op, the remaining ops would never run, so
@@ -116,19 +47,20 @@ pub struct Variant {
     /// dispatch, where dozens of handler rules scan the same event table
     /// and disagree only on a literal discriminator column.
     pub delta_gate: Vec<(usize, Value)>,
-    /// The variant's scheduled operators compiled into a kernel
+    /// The variant lowered into a kernel
     /// ([`crate::kernel::compile_variant`]): what the runtime executes.
     pub kernel: kernel::Kernel,
 }
 
-/// Compiled head argument.
+/// The shape of one head argument, as aggregate folding and view
+/// maintenance read it (the kernel head computes the values).
 #[derive(Debug, Clone)]
 pub enum CHeadArg {
-    /// Plain projection expression.
-    Expr(CExpr),
-    /// Aggregate over the group; the slot carries the aggregated variable
-    /// (`None` for `count<*>`).
-    Agg(AggKind, Option<usize>),
+    /// A projected expression: in an aggregate rule, a group-key column.
+    Key,
+    /// An aggregate over the group; `true` when it folds an input
+    /// variable (`false` for `count<*>`).
+    Agg(AggKind, bool),
 }
 
 /// A fully compiled rule.
@@ -167,10 +99,6 @@ pub struct CompiledRule {
     pub inductive: bool,
     /// Evaluation stratum.
     pub stratum: usize,
-    /// Number of variable slots.
-    pub nslots: usize,
-    /// Slot names (diagnostics).
-    pub slot_names: Vec<String>,
 }
 
 /// Planner options. `maintenance` is the one live switch (see
@@ -487,61 +415,9 @@ pub fn compile_with(
     })
 }
 
-struct SlotMap {
-    names: Vec<String>,
-    by_name: HashMap<String, usize>,
-}
-
-impl SlotMap {
-    fn new() -> Self {
-        SlotMap {
-            names: Vec::new(),
-            by_name: HashMap::new(),
-        }
-    }
-    fn slot(&mut self, name: &str) -> usize {
-        if let Some(&s) = self.by_name.get(name) {
-            s
-        } else {
-            let s = self.names.len();
-            self.names.push(name.to_string());
-            self.by_name.insert(name.to_string(), s);
-            s
-        }
-    }
-}
-
-fn compile_expr(e: &Expr, slots: &mut SlotMap) -> CExpr {
-    match e {
-        Expr::Lit(v) => CExpr::Lit(v.clone()),
-        Expr::Var(v) => CExpr::Slot(slots.slot(v)),
-        Expr::Wildcard => CExpr::Lit(Value::Null), // only legal in pred args; guarded earlier
-        Expr::Binary(op, a, b) => CExpr::Binary(
-            *op,
-            Box::new(compile_expr(a, slots)),
-            Box::new(compile_expr(b, slots)),
-        ),
-        Expr::Unary(op, a) => CExpr::Unary(*op, Box::new(compile_expr(a, slots))),
-        Expr::Call(f, args) => CExpr::Call(
-            f.clone(),
-            args.iter().map(|a| compile_expr(a, slots)).collect(),
-        ),
-        Expr::ListLit(items) => CExpr::List(items.iter().map(|a| compile_expr(a, slots)).collect()),
-    }
-}
-
-/// Compile a constant (fact) expression; the caller guarantees it contains
-/// no variables or wildcards.
-pub fn compile_fact_expr(e: &Expr) -> CExpr {
-    let mut slots = SlotMap::new();
-    compile_expr(e, &mut slots)
-}
-
-/// Lower one validated rule. `ra` carries the classification and the
-/// per-variant execution orders computed by [`analysis::validate_rule`];
-/// emission just follows them, so it cannot fail.
-/// Lower one validated rule and compile each of its variants into a
-/// kernel, returning the per-variant kernel verdicts alongside.
+/// Lower one validated rule: each variant compiles straight from the AST
+/// to a kernel, following the execution order [`analysis::validate_rule`]
+/// computed for it, and its kernel verdict is returned alongside.
 fn compile_rule(
     id: usize,
     rule: &Rule,
@@ -549,63 +425,27 @@ fn compile_rule(
     ids: &TableIds,
     col_type: &dyn Fn(TableId, usize) -> TypeTag,
 ) -> Result<(CompiledRule, Vec<kernel::KernelVerdict>)> {
-    let label = rule.label(id);
+    let tid_of = |t: &str| ids.get(t).expect("validated tables are interned");
     let positive_tables: Vec<String> = rule
         .positive_predicates()
         .map(|p| p.table.clone())
         .collect();
-    let positive_tids: Vec<TableId> = positive_tables
-        .iter()
-        .map(|t| ids.get(t).expect("validated tables are interned"))
-        .collect();
+    let positive_tids: Vec<TableId> = positive_tables.iter().map(|t| tid_of(t)).collect();
 
-    // Emit each variant's operators following the analysis-provided
-    // orders; the head compiles after every variant so it sees the slots
-    // all of them bind.
-    let mut slots = SlotMap::new();
-    let delta_pred = |d: usize| (!positive_tables.is_empty()).then_some(d);
-    let variant_ops: Vec<Vec<Op>> = ra
-        .orders
-        .iter()
-        .map(|order| emit_ops(rule, order, &mut slots, ids))
-        .collect();
-
-    // Compile head args; safety of every head variable was already checked.
-    let mut head_args = Vec::with_capacity(rule.head.args.len());
-    for arg in &rule.head.args {
-        match arg {
-            HeadArg::Expr(e) => head_args.push(CHeadArg::Expr(compile_expr(e, &mut slots))),
-            HeadArg::Agg(kind, var) => {
-                let slot = var.as_ref().map(|v| slots.slot(v));
-                head_args.push(CHeadArg::Agg(*kind, slot));
-            }
-        }
-    }
-
-    let table_name = |tid: TableId| ids.name(tid).to_string();
-    let mut variants = Vec::with_capacity(variant_ops.len());
-    let mut verdicts = Vec::with_capacity(variant_ops.len());
-    for (d, ops) in variant_ops.into_iter().enumerate() {
-        let delta_pred = delta_pred(d);
-        let delta_gate = match (delta_pred, ops.first()) {
-            (
-                Some(d),
-                Some(Op::Scan {
-                    pred_idx,
-                    const_checks,
-                    ..
-                }),
-            ) if *pred_idx == d => const_checks.clone(),
+    let mut variants = Vec::with_capacity(ra.orders.len());
+    let mut verdicts = Vec::with_capacity(ra.orders.len());
+    for (d, order) in ra.orders.iter().enumerate() {
+        let delta_pred = (!positive_tables.is_empty()).then_some(d);
+        let (kernel, verdict) =
+            kernel::compile_variant(rule, order, delta_pred, &tid_of, col_type)?;
+        let delta_gate = match kernel.ops.first() {
+            Some(kernel::KOp::Scan {
+                is_delta: true,
+                const_checks,
+                ..
+            }) => const_checks.clone(),
             _ => Vec::new(),
         };
-        let (kernel, verdict) = kernel::compile_variant(
-            &ops,
-            delta_pred,
-            &head_args,
-            slots.names.len(),
-            col_type,
-            &table_name,
-        )?;
         verdicts.push(verdict);
         variants.push(Variant {
             delta_pred,
@@ -616,13 +456,19 @@ fn compile_rule(
 
     let cr = CompiledRule {
         id,
-        label,
+        label: rule.label(id),
         delete: ra.class.delete,
-        head_tid: ids
-            .get(&rule.head.table)
-            .expect("validated tables are interned"),
+        head_tid: tid_of(&rule.head.table),
         head_table: rule.head.table.clone(),
-        head_args,
+        head_args: rule
+            .head
+            .args
+            .iter()
+            .map(|a| match a {
+                HeadArg::Expr(_) => CHeadArg::Key,
+                HeadArg::Agg(kind, var) => CHeadArg::Agg(*kind, var.is_some()),
+            })
+            .collect(),
         head_loc: rule.head.loc,
         aggregate: ra.class.aggregate,
         positive_tables,
@@ -631,120 +477,8 @@ fn compile_rule(
         is_view: ra.class.is_view,
         inductive: ra.class.inductive,
         stratum: 0,
-        nslots: slots.names.len(),
-        slot_names: slots.names,
     };
     Ok((cr, verdicts))
-}
-
-/// Is every variable of `e` in the `bound` set? Statically mirrors the
-/// evaluator's old per-row `cexpr_bound` probe: a check column whose
-/// expression is fully bound *before* the scan runs can drive an index
-/// lookup.
-fn expr_bound(e: &Expr, bound: &HashSet<String>) -> bool {
-    let mut vars = Vec::new();
-    e.collect_vars(&mut vars);
-    vars.iter().all(|v| bound.contains(v))
-}
-
-/// Emit the operator sequence for one variant, walking the body elements in
-/// the (already validated) execution `order`. Shares `slots` across
-/// variants so a variable keeps one slot in every variant of the rule.
-/// Extract the literal `Check` columns of a pattern list (see
-/// [`Op::Scan::const_checks`]). Comparing the literal directly is exactly
-/// what evaluating `CExpr::Lit` and comparing would do, so hoisting these
-/// ahead of slot binding changes no outcomes — only the per-row cost.
-fn lit_checks(pats: &[Pat]) -> Vec<(usize, Value)> {
-    pats.iter()
-        .enumerate()
-        .filter_map(|(i, p)| match p {
-            Pat::Check(CExpr::Lit(v)) => Some((i, v.clone())),
-            _ => None,
-        })
-        .collect()
-}
-
-fn emit_ops(rule: &Rule, order: &[usize], slots: &mut SlotMap, ids: &TableIds) -> Vec<Op> {
-    let tid_of = |t: &str| ids.get(t).expect("validated tables are interned");
-    // Positive-predicate ordinal for each body index.
-    let mut pred_counter: HashMap<usize, usize> = HashMap::new();
-    let mut n = 0usize;
-    for (i, e) in rule.body.iter().enumerate() {
-        if let BodyElem::Pred(p) = e {
-            if !p.negated {
-                pred_counter.insert(i, n);
-                n += 1;
-            }
-        }
-    }
-
-    let mut ops = Vec::with_capacity(order.len());
-    let mut bound: HashSet<String> = HashSet::new();
-    for &bi in order {
-        match &rule.body[bi] {
-            BodyElem::Pred(p) if !p.negated => {
-                // Check columns are index-usable only when their variables
-                // were bound before this scan: a duplicate variable bound
-                // by an earlier column of the *same* predicate is checked
-                // per row, not probed.
-                let pre_bound = bound.clone();
-                let mut pats = Vec::with_capacity(p.args.len());
-                let mut index_cols = Vec::new();
-                for (i, a) in p.args.iter().enumerate() {
-                    pats.push(match a {
-                        Expr::Wildcard => Pat::Wild,
-                        Expr::Var(v) if !bound.contains(v) => {
-                            bound.insert(v.clone());
-                            Pat::Bind(slots.slot(v))
-                        }
-                        other => {
-                            if expr_bound(other, &pre_bound) {
-                                index_cols.push(i);
-                            }
-                            Pat::Check(compile_expr(other, slots))
-                        }
-                    });
-                }
-                let const_checks = lit_checks(&pats);
-                ops.push(Op::Scan {
-                    tid: tid_of(&p.table),
-                    pred_idx: pred_counter[&bi],
-                    pats,
-                    index_cols,
-                    const_checks,
-                });
-            }
-            BodyElem::Pred(p) => {
-                let mut pats = Vec::with_capacity(p.args.len());
-                let mut index_cols = Vec::new();
-                for (i, a) in p.args.iter().enumerate() {
-                    pats.push(match a {
-                        Expr::Wildcard => Pat::Wild,
-                        other => {
-                            if expr_bound(other, &bound) {
-                                index_cols.push(i);
-                            }
-                            Pat::Check(compile_expr(other, slots))
-                        }
-                    });
-                }
-                let const_checks = lit_checks(&pats);
-                ops.push(Op::NegScan {
-                    tid: tid_of(&p.table),
-                    pats,
-                    index_cols,
-                    const_checks,
-                });
-            }
-            BodyElem::Cond(e) => ops.push(Op::Filter(compile_expr(e, slots))),
-            BodyElem::Assign(v, e) => {
-                let ce = compile_expr(e, slots);
-                bound.insert(v.clone());
-                ops.push(Op::Assign(slots.slot(v), ce));
-            }
-        }
-    }
-    ops
 }
 
 #[cfg(test)]
@@ -1081,5 +815,266 @@ mod tests {
             })
             .unwrap();
         assert_eq!(neg, vec![0]);
+    }
+
+    /// Pins the whole lowering: every variant's kernel, gate and verdict.
+    #[test]
+    fn rules_lower_to_these_kernels() {
+        use crate::kernel::{KCheck, Kernel, KernelVerdict};
+        let p = plan_of(
+            r#"event ev, {String, Int};
+             define(t, keys(0,1), {Int, Int});
+             define(u, keys(0,1), {Any, Int});
+             define(g, keys(0), {Int});
+             define(a, keys(0,1), {Int, Int});
+             define(b, keys(0), {Int});
+             define(c, keys(0), {Int});
+             define(d, keys(0,1), {Int, Int});
+             define(e, keys(1), {Int, Int, Int});
+             a(X, Z) :- ev("go", X), t(X, Y), u(Y, Z);
+             b(X) :- t(X, Y), ev("go", Y + 1);
+             c(X) :- t(X, X), notin g(X), X > 1 && (X < 9 || X == 20);
+             d(X, W) :- W := V + X, t(X, Y), V := Y * 2;
+             e(min<Y>, X + 1, count<*>) :- t(X, Y);"#,
+        )
+        .unwrap();
+        let tid = |n: &str| p.ids.get(n).unwrap();
+        let (ev, t, u, g) = (tid("ev"), tid("t"), tid("u"), tid("g"));
+        let col = |level, col| KExpr::Operand(KOperand::Col { level, col });
+        let int = |i| KExpr::Operand(KOperand::Const(Value::Int(i)));
+        let go = || Value::str("go");
+        let bin = |op, a, b| KExpr::Binary(op, Box::new(a), Box::new(b));
+        let check = |col, expr, indexed| KCheck { col, expr, indexed };
+        // A scan that only binds: no probe, no checks.
+        let bind = |tid, is_delta| KOp::Scan {
+            tid,
+            arity: 2,
+            is_delta,
+            index_cols: vec![],
+            probes: vec![],
+            int_probe: false,
+            const_checks: vec![],
+            checks: vec![],
+        };
+        let generic = |cols: &[(&str, usize)]| KernelVerdict::Generic {
+            value_cols: cols.iter().map(|(t, c)| (t.to_string(), *c)).collect(),
+        };
+        type Expect = (Vec<(usize, Value)>, Kernel, KernelVerdict);
+        let expect = |rule: usize, variants: Vec<Expect>| {
+            assert_eq!(p.rules[rule].variants.len(), variants.len());
+            for (vi, (gate, kernel, verdict)) in variants.into_iter().enumerate() {
+                let v = &p.rules[rule].variants[vi];
+                assert_eq!(v.delta_gate, gate, "rule {rule} variant {vi} gate");
+                assert_eq!(v.kernel, kernel, "rule {rule} variant {vi} kernel");
+                assert_eq!(
+                    p.kernel.verdicts[rule][vi], verdict,
+                    "rule {rule} variant {vi}"
+                );
+            }
+        };
+
+        // `a`: the first-scheduled delta scan's literal check becomes the
+        // gate; joins probe the all-`Int` `t.0` typed and the `Any` `u.0`
+        // generically.
+        let ev_go_x = |x: KExpr, is_delta| KOp::Scan {
+            tid: ev,
+            arity: 2,
+            is_delta,
+            index_cols: vec![0, 1],
+            probes: vec![KExpr::Operand(KOperand::Const(go())), x.clone()],
+            int_probe: false,
+            const_checks: vec![(0, go())],
+            checks: vec![check(1, x, true)],
+        };
+        let join = |tid, key: KExpr, is_delta| KOp::Scan {
+            tid,
+            arity: 2,
+            is_delta,
+            index_cols: vec![0],
+            probes: vec![key.clone()],
+            int_probe: tid == t,
+            const_checks: vec![],
+            checks: vec![check(0, key, true)],
+        };
+        let ev_go = |is_delta| KOp::Scan {
+            tid: ev,
+            arity: 2,
+            is_delta,
+            index_cols: vec![0],
+            probes: vec![KExpr::Operand(KOperand::Const(go()))],
+            int_probe: false,
+            const_checks: vec![(0, go())],
+            checks: vec![],
+        };
+        let ev_u = generic(&[("ev", 0), ("u", 0)]);
+        let kernel = |ops, head, regs, level_tids| Kernel {
+            ops,
+            head,
+            regs,
+            level_tids,
+        };
+        expect(
+            0,
+            vec![
+                (
+                    vec![(0, go())],
+                    kernel(
+                        vec![
+                            ev_go(true),
+                            join(t, col(0, 1), false),
+                            join(u, col(1, 1), false),
+                        ],
+                        vec![col(0, 1), col(2, 1)],
+                        0,
+                        vec![ev, t, u],
+                    ),
+                    ev_u.clone(),
+                ),
+                (
+                    vec![],
+                    kernel(
+                        vec![
+                            bind(t, true),
+                            ev_go_x(col(0, 0), false),
+                            join(u, col(0, 1), false),
+                        ],
+                        vec![col(0, 0), col(2, 1)],
+                        0,
+                        vec![t, ev, u],
+                    ),
+                    ev_u.clone(),
+                ),
+                (
+                    vec![],
+                    kernel(
+                        vec![
+                            bind(u, true),
+                            ev_go(false),
+                            KOp::Scan {
+                                tid: t,
+                                arity: 2,
+                                is_delta: false,
+                                index_cols: vec![0, 1],
+                                probes: vec![col(1, 1), col(0, 0)],
+                                int_probe: true,
+                                const_checks: vec![],
+                                checks: vec![check(0, col(1, 1), true), check(1, col(0, 0), true)],
+                            },
+                        ],
+                        vec![col(1, 1), col(0, 1)],
+                        0,
+                        vec![u, ev, t],
+                    ),
+                    generic(&[("ev", 0)]),
+                ),
+            ],
+        );
+
+        // `b`: the `ev` delta scan waits for `Y`, so it is not first and
+        // gates nothing; its probe is a nested expression.
+        let y1 = bin(BinOp::Add, col(0, 1), int(1));
+        let b_kernel = |t_delta| {
+            kernel(
+                vec![bind(t, t_delta), ev_go_x(y1.clone(), !t_delta)],
+                vec![col(0, 0)],
+                0,
+                vec![t, ev],
+            )
+        };
+        let ev_only = generic(&[("ev", 0)]);
+        expect(
+            1,
+            vec![
+                (vec![], b_kernel(true), ev_only.clone()),
+                (vec![], b_kernel(false), ev_only),
+            ],
+        );
+
+        // `c`: a repeated variable checks its own row unindexed; the filter
+        // runs before the (typed, indexed) negated probe.
+        let x = col(0, 0);
+        expect(
+            2,
+            vec![(
+                vec![],
+                kernel(
+                    vec![
+                        KOp::Scan {
+                            tid: t,
+                            arity: 2,
+                            is_delta: true,
+                            index_cols: vec![],
+                            probes: vec![],
+                            int_probe: false,
+                            const_checks: vec![],
+                            checks: vec![check(1, x.clone(), false)],
+                        },
+                        KOp::Filter(KExpr::And(
+                            Box::new(bin(BinOp::Gt, x.clone(), int(1))),
+                            Box::new(KExpr::Or(
+                                Box::new(bin(BinOp::Lt, x.clone(), int(9))),
+                                Box::new(bin(BinOp::Eq, x.clone(), int(20))),
+                            )),
+                        )),
+                        KOp::NegScan {
+                            tid: g,
+                            arity: 1,
+                            index_cols: vec![0],
+                            probes: vec![x.clone()],
+                            int_probe: true,
+                            const_checks: vec![],
+                            checks: vec![check(0, x.clone(), true)],
+                        },
+                    ],
+                    vec![x.clone()],
+                    0,
+                    vec![t],
+                ),
+                KernelVerdict::Typed { int_probes: 1 },
+            )],
+        );
+
+        // `d`: registers number in schedule order, not source order.
+        let reg = |r| KExpr::Operand(KOperand::Reg(r));
+        expect(
+            3,
+            vec![(
+                vec![],
+                kernel(
+                    vec![
+                        bind(t, true),
+                        KOp::Assign(0, bin(BinOp::Mul, col(0, 1), int(2))),
+                        KOp::Assign(1, bin(BinOp::Add, reg(0), col(0, 0))),
+                    ],
+                    vec![col(0, 0), reg(1)],
+                    2,
+                    vec![t],
+                ),
+                KernelVerdict::Typed { int_probes: 0 },
+            )],
+        );
+
+        // `e`: the aggregate head projects key columns first, then only the
+        // aggregates with an input (`count<*>` has none).
+        expect(
+            4,
+            vec![(
+                vec![],
+                kernel(
+                    vec![bind(t, true)],
+                    vec![bin(BinOp::Add, col(0, 0), int(1)), col(0, 1)],
+                    0,
+                    vec![t],
+                ),
+                KernelVerdict::Typed { int_probes: 0 },
+            )],
+        );
+
+        // A fact is constant-folded at load, not compiled to a kernel.
+        let mut rt = crate::runtime::OverlogRuntime::new("n");
+        rt.load("define(f, keys(0), {Int, Int}); f(2 * 3 + 1, -4);")
+            .unwrap();
+        rt.tick(0).unwrap();
+        assert_eq!(*rt.rows("f")[0], vec![Value::Int(7), Value::Int(-4)]);
     }
 }

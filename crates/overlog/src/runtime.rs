@@ -714,7 +714,7 @@ impl OverlogRuntime {
                             span: *span,
                         });
                     }
-                    let k = kernel::compile_expr(&plan::compile_fact_expr(e), &[])?;
+                    let k = kernel::compile_expr(e, &HashMap::new())?;
                     row.push(kernel::eval(&k, &[], &[], &self.builtins)?);
                 }
                 *self.fact_counts.entry(table.clone()).or_default() += 1;
@@ -739,9 +739,8 @@ impl OverlogRuntime {
                 Ok(())
             }
             Err(e) => {
+                // `self.plan` still holds the previous plan.
                 self.rule_sources.truncate(before);
-                // Restore the previous (still valid) plan.
-                self.plan = Arc::new(self.recompile().expect("previous plan compiled before"));
                 Err(e)
             }
         }
@@ -789,10 +788,9 @@ impl OverlogRuntime {
                 Ok(true)
             }
             Err(e) => {
-                // Splice the rules back where they were; the previous plan
-                // compiled before, so this recompile cannot fail.
+                // Splice the rules back where they were; `self.plan` still
+                // holds the plan they compiled to.
                 self.rule_sources.splice(start..start, removed);
-                self.plan = Arc::new(self.recompile().expect("previous plan compiled before"));
                 Err(e)
             }
         }
@@ -1537,28 +1535,9 @@ impl OverlogRuntime {
                     self.apply_insert(tid, row, false, &mut ctx)?;
                 }
                 Pending::Delete(tid, row) => {
-                    if self.tables[tid.idx()].delete(&row) {
+                    if self.apply_delete(tid, &row, &mut ctx) {
                         ctx.changed_tables.insert(tid);
-                        if self.durable_ids.contains(tid) {
-                            self.commit_log.push((tid, row.clone(), CommitOp::Delete));
-                        }
-                        if self.tap_ids.contains(tid) {
-                            self.tap_log.push((
-                                tid,
-                                row.clone(),
-                                CommitOp::Delete,
-                                self.tick_count,
-                                self.now,
-                            ));
-                        }
-                        self.record_trace(tid, &row, TraceOp::Delete);
-                        if plan.view_inputs.contains(tid) {
-                            pre_dirty = true;
-                            ctx.shrink_dirty.insert(tid);
-                            if plan.options.maintenance {
-                                ctx.m_del[tid.idx()].push(row.clone());
-                            }
-                        }
+                        pre_dirty |= plan.view_inputs.contains(tid);
                     }
                 }
             }
@@ -1706,27 +1685,8 @@ impl OverlogRuntime {
             if !ctx.delete_seen.insert((*tid, row.clone())) {
                 continue;
             }
-            if self.tables[tid.idx()].delete(row) {
+            if self.apply_delete(*tid, row, &mut ctx) {
                 deletions += 1;
-                if self.durable_ids.contains(*tid) {
-                    self.commit_log.push((*tid, row.clone(), CommitOp::Delete));
-                }
-                if self.tap_ids.contains(*tid) {
-                    self.tap_log.push((
-                        *tid,
-                        row.clone(),
-                        CommitOp::Delete,
-                        self.tick_count,
-                        self.now,
-                    ));
-                }
-                self.record_trace(*tid, row, TraceOp::Delete);
-                if plan.view_inputs.contains(*tid) {
-                    ctx.shrink_dirty.insert(*tid);
-                    if plan.options.maintenance {
-                        ctx.m_del[tid.idx()].push(row.clone());
-                    }
-                }
             }
         }
         ctx.deferred_deletes = deferred;
@@ -1774,6 +1734,35 @@ impl OverlogRuntime {
         // Return the workspace to the pool so next tick reuses its buffers.
         self.scratch = ctx;
         Ok(result)
+    }
+
+    /// Delete a row from a local table and publish the retraction: WAL
+    /// record, tap record, watch trace, then the view-maintenance marks.
+    /// Reports whether the row was present.
+    fn apply_delete(&mut self, tid: TableId, row: &Row, ctx: &mut TickCtx) -> bool {
+        if !self.tables[tid.idx()].delete(row) {
+            return false;
+        }
+        if self.durable_ids.contains(tid) {
+            self.commit_log.push((tid, row.clone(), CommitOp::Delete));
+        }
+        if self.tap_ids.contains(tid) {
+            self.tap_log.push((
+                tid,
+                row.clone(),
+                CommitOp::Delete,
+                self.tick_count,
+                self.now,
+            ));
+        }
+        self.record_trace(tid, row, TraceOp::Delete);
+        if self.plan.view_inputs.contains(tid) {
+            ctx.shrink_dirty.insert(tid);
+            if self.plan.options.maintenance {
+                ctx.m_del[tid.idx()].push(row.clone());
+            }
+        }
+        true
     }
 
     /// Insert a derived or external row into a local table; reports
@@ -3042,7 +3031,7 @@ fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec
     let nkeys = rule
         .head_args
         .iter()
-        .filter(|a| matches!(a, CHeadArg::Expr(_)))
+        .filter(|a| matches!(a, CHeadArg::Key))
         .count();
     // Per aggregate: its kind and the row column of its input.
     let mut next = nkeys;
@@ -3050,14 +3039,14 @@ fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec
         .head_args
         .iter()
         .filter_map(|a| match a {
-            CHeadArg::Agg(kind, slot) => Some((
+            CHeadArg::Agg(kind, input) => Some((
                 *kind,
-                slot.map(|_| {
+                input.then(|| {
                     next += 1;
                     next - 1
                 }),
             )),
-            CHeadArg::Expr(_) => None,
+            CHeadArg::Key => None,
         })
         .collect();
     let width = next;
@@ -3084,7 +3073,7 @@ fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec
                 .head_args
                 .iter()
                 .map(|a| match a {
-                    CHeadArg::Expr(_) => keys.next().expect("one key per expr").clone(),
+                    CHeadArg::Key => keys.next().expect("one key per expr").clone(),
                     CHeadArg::Agg(..) => vals.next().expect("one acc per agg").value(),
                 })
                 .collect();
@@ -3380,5 +3369,22 @@ impl<'a> KRun<'a, '_> {
         let coerced = t.coerce_probe(index_cols, self.probe_vals);
         let (cands, bucket) = t.lookup_or_scan(index_cols, self.probe_vals);
         Ok((cands, bucket && !coerced))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn rejected_load_keeps_the_current_plan() {
+        let mut rt = OverlogRuntime::new("n");
+        rt.load("define(q, keys(0), {Int}); define(p, keys(0,1), {Int, Int}); p(X, X) :- q(X);")
+            .unwrap();
+        let before = Arc::clone(&rt.plan);
+        let err = rt.load("p(X, Y) :- q(X);").unwrap_err();
+        assert!(matches!(err, OverlogError::UnsafeRule { .. }), "{err:?}");
+        assert!(Arc::ptr_eq(&before, &rt.plan));
+        assert_eq!(rt.plan.rules.len(), 1);
     }
 }

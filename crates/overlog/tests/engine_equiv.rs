@@ -47,7 +47,7 @@ const SRC: &str = "event report, {Int, Int};
 
 /// One input action of a randomized schedule.
 #[derive(Debug, Clone, Copy)]
-enum Op {
+enum Step {
     Report(i64, i64),
     Ban(i64),
     Unban(i64),
@@ -65,7 +65,7 @@ type Input = (bool, &'static str, Row);
 
 /// The seed inputs, then the schedule's inputs split into one batch per
 /// tick boundary.
-fn inputs(schedule: &[(Op, bool)]) -> (Vec<Input>, Vec<Vec<Input>>) {
+fn inputs(schedule: &[(Step, bool)]) -> (Vec<Input>, Vec<Vec<Input>>) {
     let mut seed = Vec::new();
     for n in 0..8i64 {
         seed.push((true, "cap", row(vec![Value::Int(n), Value::Int(20 + n)])));
@@ -81,10 +81,10 @@ fn inputs(schedule: &[(Op, bool)]) -> (Vec<Input>, Vec<Vec<Input>>) {
     let mut batches = vec![Vec::new()];
     for &(op, tick_after) in schedule {
         let input = match op {
-            Op::Report(n, w) => (true, "report", row(vec![Value::Int(n), Value::Int(w)])),
-            Op::Ban(n) => (true, "ban", row(vec![Value::Int(n)])),
-            Op::Unban(n) => (true, "unban", row(vec![Value::Int(n)])),
-            Op::Untag(n) => (false, "tag", tag_row(n)),
+            Step::Report(n, w) => (true, "report", row(vec![Value::Int(n), Value::Int(w)])),
+            Step::Ban(n) => (true, "ban", row(vec![Value::Int(n)])),
+            Step::Unban(n) => (true, "unban", row(vec![Value::Int(n)])),
+            Step::Untag(n) => (false, "tag", tag_row(n)),
         };
         batches.last_mut().expect("non-empty").push(input);
         if tick_after {
@@ -97,7 +97,7 @@ fn inputs(schedule: &[(Op, bool)]) -> (Vec<Input>, Vec<Vec<Input>>) {
 /// Run `schedule` under one configuration and dump the full
 /// materialized state, sorted per table (the runtime's own `me` table
 /// is not part of the program and is left out).
-fn drive(schedule: &[(Op, bool)], opts: PlanOptions) -> String {
+fn drive(schedule: &[(Step, bool)], opts: PlanOptions) -> String {
     let mut r = OverlogRuntime::new("equiv");
     r.load(SRC).expect("program loads");
     r.set_plan_options(opts);
@@ -134,7 +134,7 @@ fn drive(schedule: &[(Op, bool)], opts: PlanOptions) -> String {
 }
 
 /// The same schedule through the naive oracle.
-fn reference(schedule: &[(Op, bool)]) -> String {
+fn reference(schedule: &[(Step, bool)]) -> String {
     let mut o = Oracle::new(SRC);
     let (seed, batches) = inputs(schedule);
     let apply = |o: &mut Oracle, batch: &[Input]| {
@@ -157,7 +157,7 @@ fn reference(schedule: &[(Op, bool)]) -> String {
 
 /// Assert the maintained and the recomputing engine both agree with the
 /// oracle on this schedule.
-fn assert_configs_agree(schedule: &[(Op, bool)]) {
+fn assert_configs_agree(schedule: &[(Step, bool)]) {
     let want = reference(schedule);
     for maintenance in [false, true] {
         let opts = PlanOptions {
@@ -174,15 +174,15 @@ fn fixed_schedule_derives_every_shape() {
     // Overwrite, ban, unban and untag in turn; the oracle and the engine
     // must agree, and every derived table must be populated.
     let schedule = [
-        (Op::Report(1, 50), false),
-        (Op::Report(2, 5), false),
-        (Op::Report(0, 3), true),
-        (Op::Report(1, 60), true),
-        (Op::Ban(2), true),
-        (Op::Report(2, 70), true),
-        (Op::Untag(1), false),
-        (Op::Unban(2), true),
-        (Op::Report(4, 90), true),
+        (Step::Report(1, 50), false),
+        (Step::Report(2, 5), false),
+        (Step::Report(0, 3), true),
+        (Step::Report(1, 60), true),
+        (Step::Ban(2), true),
+        (Step::Report(2, 70), true),
+        (Step::Untag(1), false),
+        (Step::Unban(2), true),
+        (Step::Report(4, 90), true),
     ];
     let want = reference(&schedule);
     for t in ["over[", "who[", "label[", "stats["] {
@@ -192,24 +192,24 @@ fn fixed_schedule_derives_every_shape() {
     assert_configs_agree(&schedule);
 }
 
-/// Map a raw generated tuple onto an [`Op`], with `kind` weighting.
-fn op_of(kind: u8, n: i64, w: i64, deletion_heavy: bool) -> Op {
+/// Map a raw generated tuple onto an [`Step`], with `kind` weighting.
+fn op_of(kind: u8, n: i64, w: i64, deletion_heavy: bool) -> Step {
     if deletion_heavy {
         match kind % 5 {
-            0 => Op::Report(n, w),
-            1 => Op::Ban(n),
-            2 => Op::Unban(n),
-            3 => Op::Untag(n),
+            0 => Step::Report(n, w),
+            1 => Step::Ban(n),
+            2 => Step::Unban(n),
+            3 => Step::Untag(n),
             // Re-report a possibly-banned node: drives the `delete load`
             // rule and keyed overwrites in the same breath.
-            _ => Op::Report(n, w + 30),
+            _ => Step::Report(n, w + 30),
         }
     } else {
         match kind % 8 {
-            0..=4 => Op::Report(n, w),
-            5 => Op::Ban(n),
-            6 => Op::Unban(n),
-            _ => Op::Report(n % 2, w),
+            0..=4 => Step::Report(n, w),
+            5 => Step::Ban(n),
+            6 => Step::Unban(n),
+            _ => Step::Report(n % 2, w),
         }
     }
 }
@@ -225,7 +225,7 @@ proptest! {
     fn deletion_heavy_configs_agree(
         raw in proptest::collection::vec((0u8..5, 0i64..8, 0i64..50, proptest::bool::ANY), 1..40)
     ) {
-        let schedule: Vec<(Op, bool)> = raw
+        let schedule: Vec<(Step, bool)> = raw
             .into_iter()
             .map(|(k, n, w, t)| (op_of(k, n, w, true), t))
             .collect();
@@ -239,7 +239,7 @@ proptest! {
     fn chaos_schedule_configs_agree(
         raw in proptest::collection::vec((0u8..8, 0i64..8, 0i64..50, proptest::bool::ANY), 1..60)
     ) {
-        let schedule: Vec<(Op, bool)> = raw
+        let schedule: Vec<(Step, bool)> = raw
             .into_iter()
             .map(|(k, n, w, t)| (op_of(k, n, w, false), t))
             .collect();

@@ -11,7 +11,7 @@ use boom::fs::cluster::{ControlPlane, FsCluster, FsClusterBuilder};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
-enum Op {
+enum FsOp {
     Mkdir(String),
     Create(String),
     Rm(String),
@@ -34,28 +34,28 @@ fn path_strategy() -> impl Strategy<Value = String> {
     ])
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
+fn op_strategy() -> impl Strategy<Value = FsOp> {
     prop_oneof![
-        path_strategy().prop_map(Op::Mkdir),
-        path_strategy().prop_map(Op::Create),
-        path_strategy().prop_map(Op::Rm),
-        path_strategy().prop_map(Op::Exists),
-        path_strategy().prop_map(Op::Ls),
-        (path_strategy(), path_strategy()).prop_map(|(a, b)| Op::Rename(a, b)),
+        path_strategy().prop_map(FsOp::Mkdir),
+        path_strategy().prop_map(FsOp::Create),
+        path_strategy().prop_map(FsOp::Rm),
+        path_strategy().prop_map(FsOp::Exists),
+        path_strategy().prop_map(FsOp::Ls),
+        (path_strategy(), path_strategy()).prop_map(|(a, b)| FsOp::Rename(a, b)),
     ]
 }
 
 /// Execute an op; normalize the observable outcome to a comparable string.
-fn apply(c: &mut FsCluster, op: &Op) -> String {
+fn apply(c: &mut FsCluster, op: &FsOp) -> String {
     let cl = c.client.clone();
     let sim = &mut c.sim;
     match op {
-        Op::Mkdir(p) => format!("mkdir {:?}", cl.mkdir(sim, p).err()),
-        Op::Create(p) => format!("create {:?}", cl.create(sim, p).err()),
-        Op::Rm(p) => format!("rm {:?}", cl.rm(sim, p).err()),
-        Op::Exists(p) => format!("exists {:?}", cl.exists(sim, p)),
-        Op::Ls(p) => format!("ls {:?}", cl.ls(sim, p)),
-        Op::Rename(a, b) => format!("rename {:?}", cl.rename(sim, a, b).err()),
+        FsOp::Mkdir(p) => format!("mkdir {:?}", cl.mkdir(sim, p).err()),
+        FsOp::Create(p) => format!("create {:?}", cl.create(sim, p).err()),
+        FsOp::Rm(p) => format!("rm {:?}", cl.rm(sim, p).err()),
+        FsOp::Exists(p) => format!("exists {:?}", cl.exists(sim, p)),
+        FsOp::Ls(p) => format!("ls {:?}", cl.ls(sim, p)),
+        FsOp::Rename(a, b) => format!("rename {:?}", cl.rename(sim, a, b).err()),
     }
 }
 
