@@ -234,7 +234,7 @@ pub fn compile_variant(
                 // by an earlier column of the same predicate is checked
                 // per row. Probes run before rows are iterated, so they
                 // only ever read outer levels.
-                let index_cols: Vec<usize> = check_cols
+                let mut index_cols: Vec<usize> = check_cols
                     .iter()
                     .copied()
                     .filter(|&c| bound_before(&p.args[c], level, &places))
@@ -256,6 +256,10 @@ pub fn compile_variant(
                         }),
                     }
                 }
+                // Kernels live as long as the plan: keep exactly what they use.
+                index_cols.shrink_to_fit();
+                const_checks.shrink_to_fit();
+                checks.shrink_to_fit();
                 let int_probe = probe_typing(
                     tid,
                     &p.table,

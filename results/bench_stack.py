@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Record the stack benchmark's end-to-end numbers in results/BENCH_stack.json.
 
-For each workload this runs stackbench/steady.py (K runs, one seed each) and
-keeps the median, quartiles and sample count of every end-to-end metric. It
-then runs one traced seed and keeps that run's per-layer metrics. Each row
-records the host, the seeds, --seconds and the commit it measured. Run from
-the repository root:
+For each workload this runs stackbench/steady.py (ten runs, seeds 1-10, each
+BENCHMARK.json's run_seconds long) and keeps the median, quartiles and sample
+count of every end-to-end metric. It then runs seed 1 traced and keeps that
+run's per-layer metrics. Each row records the host, the seeds, --seconds and
+the commit it measured. Run from the repository root:
 
-    python3 results/bench_stack.py --runs 10
+    python3 results/bench_stack.py
 
 With --workloads only the named rows are re-measured; the other rows of the
 existing file are kept as they are.
@@ -22,6 +22,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = os.path.join(ROOT, "results", "BENCH_stack.json")
+RUNS = 10
+SEEDS = list(range(1, RUNS + 1))
 
 
 def sh(cmd):
@@ -51,10 +53,10 @@ def finite(v):
     return v if isinstance(v, (int, float)) and math.isfinite(v) else None
 
 
-def steady(workload, names, runs, seeds_from, seconds):
+def steady(workload, names, seconds):
     """Median, q1 and q3 per end-to-end metric, parsed from steady.py's table."""
     out = sh([sys.executable, "stackbench/steady.py", "--workload", workload,
-              "--runs", str(runs), "--seed-base", str(seeds_from),
+              "--runs", str(RUNS), "--seed-base", str(SEEDS[0]),
               "--seconds", str(seconds)])
     stats = {}
     for line in out.stdout.splitlines():
@@ -85,10 +87,8 @@ def main():
         spec = json.load(f)
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workloads", nargs="*", default=[w["name"] for w in spec["workloads"]])
-    ap.add_argument("--runs", type=int, default=10)
-    ap.add_argument("--seed-base", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=spec["run_seconds"])
     args = ap.parse_args()
+    seconds = spec["run_seconds"]
 
     names = [m["name"] for m in spec["end_to_end"]]
     rows = {}
@@ -96,19 +96,19 @@ def main():
         with open(OUT) as f:
             rows = {c["workload"]: c for c in json.load(f)["cases"]}
     for w in args.workloads:
-        print(f"{w}: {args.runs} runs of {args.seconds} s", file=sys.stderr)
-        stats = steady(w, names, args.runs, args.seed_base, args.seconds)
-        case = {"workload": w, "samples": args.runs}
+        print(f"{w}: {RUNS} runs of {seconds} s", file=sys.stderr)
+        stats = steady(w, names, seconds)
+        case = {"workload": w, "samples": RUNS}
         for n in names:
             med, q1, q3 = stats[n]
             case[n], case[n + "_q1"], case[n + "_q3"] = med, q1, q3
         case.update({
-            "seeds": list(range(args.seed_base, args.seed_base + args.runs)),
-            "seconds": args.seconds,
+            "seeds": SEEDS,
+            "seconds": seconds,
             "host": host(),
             "commit": commit(),
-            "trace_seed": args.seed_base,
-            "layers": traced(spec, w, args.seed_base, args.seconds),
+            "trace_seed": SEEDS[0],
+            "layers": traced(spec, w, SEEDS[0], seconds),
         })
         rows[w] = case
     order = [w["name"] for w in spec["workloads"]]
