@@ -4,7 +4,7 @@
 //! maintenance planner on and once with every affected view recomputed
 //! from scratch per tick. The maintenance analysis certifies the
 //! heartbeat aggregates `chunk_locs` / `chunk_rep` as
-//! `group-recompute(key=[0])`, so the maintained engine refolds only the
+//! `group-recompute(group=[0])`, so the maintained engine refolds only the
 //! churned chunk groups while the recompute engine refolds all of them —
 //! the gap is the point of the whole maintenance subsystem.
 //!

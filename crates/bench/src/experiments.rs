@@ -881,7 +881,7 @@ struct MaintRun {
 /// row — an insert *plus a retraction* — so every burst pushes signed
 /// deltas into the aggregate views `chunk_locs(C, set<N>)` and
 /// `chunk_rep(C, count<N>)`. The maintenance analysis certifies both as
-/// `group-recompute(key=[0])` over the `hb_chunk` delta: the maintained
+/// `group-recompute(group=[0])` over the `hb_chunk` delta: the maintained
 /// engine refolds only the touched chunk groups (index lookups), while
 /// the recompute engine clears and refolds all `rows` groups per tick.
 /// Synthetic DataNode addresses (`sdn*`) keep the real DataNodes'

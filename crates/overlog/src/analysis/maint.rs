@@ -33,7 +33,10 @@
 //!   `full-recompute(recursive)`.
 //! * **group-recompute** — aggregates. A delta row names its group key, so
 //!   only the touched groups are re-folded; untouched groups keep their
-//!   materialized rows.
+//!   materialized rows. The runtime carries this verdict out as keyed
+//!   re-derivation with a fold: an aggregate's declared key is its group
+//!   key, so the same [`ViewMaint::KeyRederive`] step re-folds the touched
+//!   groups and deletes the emptied ones.
 //! * **full-recompute** — the fallback, with a machine-readable reason
 //!   code and a hard-vs-fixable split: `fixable: true` marks views a
 //!   schema or rule rewrite could rescue (lint W0010 surfaces the hot
@@ -42,15 +45,17 @@
 //!
 //! Verdicts drive two consumers. `olgcheck analyze` renders them per view
 //! rule variant; the planner compiles them into a [`MaintPlan`] whose
-//! per-view [`ViewMaint`] strategies the runtime executes instead of
-//! recomputing (`runtime.rs` falls back per round whenever a dirty input
-//! cannot name the touched keys, so determinism never rests on this
-//! analysis being complete — only the *speed* does).
+//! per-view [`ViewMaint`] strategy — keyed re-derivation or DRed — the
+//! runtime executes instead of recomputing; with the recompute fallback
+//! that makes three runtime strategies. (`runtime.rs` falls back per
+//! round whenever a dirty input cannot name the touched keys, so
+//! determinism never rests on this analysis being complete — only the
+//! *speed* does.)
 
 use super::ProgramContext;
 use crate::ast::{BodyElem, Expr, HeadArg, Predicate, Rule, Span, TableDecl};
 use crate::ids::{TableId, TableIds};
-use crate::plan::{CHeadArg, CompiledRule};
+use crate::plan::CompiledRule;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -605,7 +610,7 @@ pub struct SourceDep {
     pub keys: KeySource,
 }
 
-/// How a dirty source row names the view keys (or group keys) it touches.
+/// How a dirty source row names the view keys it touches.
 #[derive(Debug, Clone)]
 pub enum KeySource {
     /// The row carries the key: one [`Bind`] per key component.
@@ -644,20 +649,6 @@ pub struct AnchorEval {
 /// The compiled maintenance strategy for one view table.
 #[derive(Debug, Clone)]
 pub enum ViewMaint {
-    /// Re-fold only the touched groups of a single aggregate rule.
-    GroupRecompute {
-        /// The aggregate rule id.
-        rule: usize,
-        /// How to re-evaluate a touched group.
-        anchor: AnchorEval,
-        /// Every body predicate, with key projections for dirt scoping.
-        sources: Vec<SourceDep>,
-        /// Head columns forming the group key, in head order.
-        group_cols: Vec<usize>,
-        /// Declared-key order as indices into the group-key tuple (for
-        /// deleting an emptied group's row by primary key).
-        key_map: Vec<usize>,
-    },
     /// Delete-and-rederive for a self-recursive, whole-row-keyed view.
     Dred {
         /// One entry per deriving rule, in rule order.
@@ -666,7 +657,9 @@ pub enum ViewMaint {
         /// inputs, whose delta logs drive maintenance).
         sources: Vec<TableId>,
     },
-    /// Delete the touched head keys, then re-derive them rule by rule.
+    /// Delete the touched head keys, then re-derive them rule by rule. An
+    /// aggregate view has exactly one rule, whose re-derivation folds the
+    /// touched groups; its declared key is its group key.
     KeyRederive {
         /// The head table's declared key columns.
         key_cols: Vec<usize>,
@@ -676,6 +669,17 @@ pub enum ViewMaint {
         /// Every body predicate of every deriving rule.
         sources: Vec<SourceDep>,
     },
+}
+
+impl ViewMaint {
+    /// The id of the view's first deriving rule. View rules run in their
+    /// head's stratum, so this rule's stratum is the view's.
+    pub fn first_rule(&self) -> usize {
+        match self {
+            ViewMaint::Dred { rules, .. } => rules[0].anchor.rule,
+            ViewMaint::KeyRederive { rules, .. } => rules[0].rule,
+        }
+    }
 }
 
 /// One rule deriving a [`ViewMaint::Dred`] view.
@@ -809,74 +813,15 @@ pub fn view_strategies(
         {
             continue;
         }
-        let any_aggregate = rids.iter().any(|&r| compiled[r].aggregate);
-        if any_aggregate {
-            // Aggregate views must be the sole writer of their head: a
-            // second rule would interleave with group overwrites in an
-            // order the scoped path cannot reproduce.
-            if rids.len() != 1 {
-                continue;
-            }
-            let rid = rids[0];
-            let (cr, rule) = (&compiled[rid], &rules[rid]);
-            let group_cols: Vec<usize> = cr
-                .head_args
-                .iter()
-                .enumerate()
-                .filter(|(_, a)| matches!(a, CHeadArg::Key))
-                .map(|(i, _)| i)
-                .collect();
-            // Declared key order -> position in the group tuple
-            // (`check_aggregate` guarantees the sets match).
-            let declared = placement_cols(decls, &cr.head_table, cr.head_args.len());
-            let key_map: Option<Vec<usize>> = declared
-                .iter()
-                .map(|k| group_cols.iter().position(|g| g == k))
-                .collect();
-            let Some(key_map) = key_map else { continue };
-            let mut sources = Vec::new();
-            let mut anchor = None;
-            let mut pos = 0usize;
-            for b in &rule.body {
-                let BodyElem::Pred(p) = b else { continue };
-                let Some(tid) = ids.get(&p.table) else {
-                    continue 'views;
-                };
-                let binds = source_binds(rule, &group_cols, p);
-                if !p.negated {
-                    if anchor.is_none() && binds.is_some() {
-                        if let Some(vi) = variant_for(cr, pos) {
-                            anchor = Some(AnchorEval {
-                                rule: rid,
-                                variant: vi,
-                                tid,
-                                binds: binds.clone().expect("checked is_some"),
-                            });
-                        }
-                    }
-                    pos += 1;
-                }
-                sources.push(SourceDep {
-                    tid,
-                    keys: binds.map_or(KeySource::Unbound, KeySource::Direct),
-                });
-            }
-            let Some(anchor) = anchor else { continue };
-            out.insert(
-                v,
-                ViewMaint::GroupRecompute {
-                    rule: rid,
-                    anchor,
-                    sources,
-                    group_cols,
-                    key_map,
-                },
-            );
+        // An aggregate must be the sole writer of its head: a second rule
+        // would interleave with group overwrites in an order the scoped
+        // path cannot reproduce.
+        if rids.len() > 1 && rids.iter().any(|&r| compiled[r].aggregate) {
             continue;
         }
-
-        // Non-aggregate views: keyed delete-and-rederive when every rule
-        // can anchor.
+        // Keyed delete-and-rederive when every rule can anchor. An
+        // aggregate's declared key is its group key (`check_aggregate`),
+        // so its groups are re-folded through the same step.
         let arity = compiled[rids[0]].head_args.len();
         let key_cols = placement_cols(decls, &compiled[rids[0]].head_table, arity);
         let mut anchors = Vec::new();

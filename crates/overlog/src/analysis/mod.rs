@@ -265,21 +265,21 @@ pub fn view_conflict(rules: &[Rule], classes: &[RuleClass]) -> Result<(), Overlo
     Ok(())
 }
 
-/// Stratify: per-table strata plus the per-rule evaluation stratum
-/// (deletion and inductive rules run where their bodies settle; everything
-/// else runs in its head's stratum).
+/// Stratify: the per-rule evaluation stratum (deletion and inductive
+/// rules run where their bodies settle; everything else runs in its
+/// head's stratum).
 pub fn stratify_rules(
     decls: &HashMap<String, TableDecl>,
     rules: &[Rule],
     classes: &[RuleClass],
-) -> Result<(HashMap<String, usize>, Vec<usize>), OverlogError> {
+) -> Result<Vec<usize>, OverlogError> {
     let graph = stratify::build_graph(decls, rules, classes);
     let table_stratum = stratify::stratify(&graph).map_err(|c| OverlogError::Unstratifiable {
         msg: c.msg,
         rule: Some(c.rule),
         span: c.span,
     })?;
-    let rule_strata = rules
+    Ok(rules
         .iter()
         .zip(classes)
         .map(|(rule, class)| {
@@ -293,8 +293,7 @@ pub fn stratify_rules(
                 table_stratum.get(&rule.head.table).copied().unwrap_or(0)
             }
         })
-        .collect();
-    Ok((table_stratum, rule_strata))
+        .collect())
 }
 
 /// A ground fact recorded for analysis.

@@ -300,9 +300,17 @@ pub fn compile_variant(
             BodyElem::Cond(e) => ops.push(KOp::Filter(compile_expr(e, &places)?)),
             BodyElem::Assign(v, e) => {
                 let expr = compile_expr(e, &places)?;
-                places.insert(v, KOperand::Reg(regs));
-                ops.push(KOp::Assign(regs, expr));
-                regs += 1;
+                // A variant may scan a predicate binding the target before
+                // the assignment runs: the assignment then constrains the
+                // variable, as that predicate would have in source order.
+                if let Some(bound) = places.get(v.as_str()) {
+                    let bound = Box::new(KExpr::Operand(bound.clone()));
+                    ops.push(KOp::Filter(KExpr::Binary(BinOp::Eq, bound, Box::new(expr))));
+                } else {
+                    places.insert(v, KOperand::Reg(regs));
+                    ops.push(KOp::Assign(regs, expr));
+                    regs += 1;
+                }
             }
         }
     }

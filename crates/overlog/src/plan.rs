@@ -161,8 +161,6 @@ pub struct Plan {
     /// re-sorts the selected variants by `(rule id, variant index)` so the
     /// execution order is identical to sweeping every rule in the stratum.
     pub strata_delta: Vec<StratumDeltaIndex>,
-    /// Stratum per table.
-    pub table_stratum: HashMap<String, usize>,
     /// The table-name interner this plan was compiled against (snapshot);
     /// resolves every `TableId` below back to a name for diagnostics.
     pub ids: TableIds,
@@ -281,7 +279,7 @@ pub fn compile_with(
         compiled.push(cr);
         kernel_plan.verdicts.push(verdicts);
     }
-    let (table_stratum, rule_strata) = analysis::stratify_rules(decls, rules, &classes)?;
+    let rule_strata = analysis::stratify_rules(decls, rules, &classes)?;
     for (cr, s) in compiled.iter_mut().zip(&rule_strata) {
         cr.stratum = *s;
     }
@@ -402,7 +400,6 @@ pub fn compile_with(
         rules: compiled.into_iter().map(Arc::new).collect(),
         strata,
         strata_delta,
-        table_stratum,
         ids: ids.clone(),
         view_tables,
         view_inputs,
@@ -725,6 +722,36 @@ mod tests {
             p.view_deps[&tid("top")].contains(tid("base")),
             "closure is transitive"
         );
+    }
+
+    #[test]
+    fn aggregate_views_rederive_by_their_declared_key() {
+        use crate::analysis::maint::{Bind, ViewMaint};
+        let p = plan_of(
+            "define(e, keys(0,1,2), {Int, Int, Int});
+             define(f, keys(0,1), {Int, Int});
+             define(cnt, keys(1,0), {Int, Int, Int});
+             define(tot, keys(0), {Int, Int});
+             cnt(X, Z, count<*>) :- e(X, _, Z);
+             tot(X, sum<Y>) :- e(X, Y, _);
+             tot(X, Y) :- f(X, Y);",
+        )
+        .unwrap();
+        let tid = |n: &str| p.ids.get(n).unwrap();
+        // The only rule of `cnt` re-derives its groups by the declared
+        // key, whose columns the anchor binds in declared order.
+        let Some(ViewMaint::KeyRederive {
+            key_cols, rules, ..
+        }) = p.maint.views.get(&tid("cnt"))
+        else {
+            panic!("cnt: {:?}", p.maint.views.get(&tid("cnt")));
+        };
+        assert_eq!(key_cols, &[1, 0]);
+        assert_eq!(rules.len(), 1);
+        assert_eq!((rules[0].rule, rules[0].tid), (0, tid("e")));
+        assert_eq!(rules[0].binds, [Bind::Col(2), Bind::Col(0)]);
+        // A second rule deriving an aggregate head leaves it to fall back.
+        assert!(!p.maint.views.contains_key(&tid("tot")));
     }
 
     #[test]

@@ -2052,18 +2052,14 @@ impl OverlogRuntime {
     /// fold, and key-overwrite the head table.
     fn eval_aggregate(&mut self, rule: &CompiledRule, ctx: &mut TickCtx) -> Result<()> {
         let t0 = std::time::Instant::now();
-        let rows: Vec<Row> = self
-            .eval_groups(rule, &rule.variants[0], None, &mut ctx.eval)?
-            .into_iter()
-            .map(|(_, r)| r)
-            .collect();
+        let rows = self.eval_groups(rule, &rule.variants[0], None, &mut ctx.eval)?;
         self.rule_stats[rule.id].eval_ns += t0.elapsed().as_nanos() as u64;
         self.dispatch(rule, rows, None, ctx)
     }
 
     /// Evaluate an aggregate rule's body through `variant`'s kernel and
-    /// fold the projected rows into `(group key, head row)` pairs.
-    /// `anchor_rows` scopes the evaluation to the variant's delta
+    /// fold the projected rows into head rows, one per group, in group
+    /// order. `anchor_rows` scopes the evaluation to the variant's delta
     /// predicate (the remaining predicates join against live tables);
     /// `None` reads every table in full.
     fn eval_groups(
@@ -2072,7 +2068,7 @@ impl OverlogRuntime {
         variant: &Variant,
         anchor_rows: Option<&[Row]>,
         scratch: &mut EvalScratch,
-    ) -> Result<Vec<(Vec<Value>, Row)>> {
+    ) -> Result<Vec<Row>> {
         let (_, n, _) = self.run_kernel(rule, variant, anchor_rows, scratch, true)?;
         fold_groups(rule, &scratch.flat, n)
     }
@@ -2308,13 +2304,9 @@ impl OverlogRuntime {
                 fallback.insert(v);
             }
         }
-        remaining.sort_by_key(|&v| {
-            let s = plan
-                .table_stratum
-                .get(self.ids.name(v))
-                .copied()
-                .unwrap_or(0);
-            (s, v.idx())
+        remaining.sort_by_key(|v| {
+            let rid = plan.maint.views[v].first_rule();
+            (plan.rules[rid].stratum, v.idx())
         });
         let mut ordered = Vec::with_capacity(remaining.len());
         while !remaining.is_empty() {
@@ -2360,14 +2352,6 @@ impl OverlogRuntime {
                 .get(&v)
                 .expect("ordered views have strategies")
             {
-                ViewMaint::GroupRecompute {
-                    rule,
-                    anchor,
-                    sources,
-                    group_cols,
-                    key_map,
-                } => self
-                    .maintain_groups(v, *rule, anchor, sources, group_cols, key_map, &plan, ctx)?,
                 ViewMaint::KeyRederive {
                     key_cols,
                     rules,
@@ -2393,8 +2377,7 @@ impl OverlogRuntime {
             // advance their marks past the logs.
             for v in fallback.iter() {
                 match plan.maint.views.get(&v) {
-                    Some(ViewMaint::GroupRecompute { sources, .. })
-                    | Some(ViewMaint::KeyRederive { sources, .. }) => {
+                    Some(ViewMaint::KeyRederive { sources, .. }) => {
                         self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
                     }
                     Some(ViewMaint::Dred { sources, .. }) => {
@@ -2407,63 +2390,13 @@ impl OverlogRuntime {
         Ok(())
     }
 
-    /// Maintain a GroupRecompute view: re-fold exactly the groups the
-    /// delta logs touched, overwriting changed group rows and deleting
-    /// emptied groups' rows by primary key.
-    #[allow(clippy::too_many_arguments)]
-    fn maintain_groups(
-        &mut self,
-        v: TableId,
-        rid: usize,
-        anchor: &AnchorEval,
-        sources: &[SourceDep],
-        group_cols: &[usize],
-        key_map: &[usize],
-        plan: &Plan,
-        ctx: &mut TickCtx,
-    ) -> Result<bool> {
-        let Some(keys) = self.touched_keys(v, sources, group_cols, plan, ctx)? else {
-            return Ok(false);
-        };
-        if keys.is_empty() {
-            self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
-            return Ok(true);
-        }
-        let t0 = std::time::Instant::now();
-        let anchor_rows = self.collect_anchor_rows(anchor, &keys);
-        let rule = &plan.rules[rid];
-        let pairs = self.eval_groups(
-            rule,
-            &rule.variants[anchor.variant],
-            Some(&anchor_rows),
-            &mut ctx.eval,
-        )?;
-        self.rule_stats[rid].maint_evals += 1;
-        self.rule_stats[rid].eval_ns += t0.elapsed().as_nanos() as u64;
-        let mut pi = 0usize;
-        for key in &keys {
-            if pairs.get(pi).is_some_and(|(k, _)| k == key) {
-                let row = pairs[pi].1.clone();
-                pi += 1;
-                self.maint_insert(v, rule, row, &[], ctx)?;
-            } else {
-                // The touched group is empty now: its head row is stale.
-                let pk: Vec<Value> = key_map.iter().map(|&i| key[i].clone()).collect();
-                if let Some(old) = self.tables[v.idx()].delete_by_key(&pk) {
-                    self.log_maint_delete(v, &old, ctx);
-                }
-            }
-        }
-        debug_assert_eq!(pi, pairs.len(), "scoped fold produced an untouched group");
-        self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
-        Ok(true)
-    }
-
     /// Maintain a KeyRederive view: re-derive every touched key rule by
     /// rule in rule order, keeping the last derivation per key — the same
     /// key-overwrite conflict resolution a from-scratch rebuild applies —
     /// then overwrite the keys whose row changed and delete the keys
     /// nothing derives any more. Unchanged keys cost nothing downstream.
+    /// For an aggregate view the keys are its groups: emptied groups are
+    /// the keys nothing derives.
     fn maintain_keys(
         &mut self,
         v: TableId,
@@ -2484,12 +2417,7 @@ impl OverlogRuntime {
         // touching its rows sees the same state deleting first would.
         let mut derived = std::collections::BTreeMap::new();
         for a in anchors {
-            let anchor_rows = self.collect_anchor_rows(a, &keys);
-            if anchor_rows.is_empty() {
-                continue;
-            }
-            let rule = &plan.rules[a.rule];
-            let (rows, mut sups) = self.maint_eval(rule, a.variant, &anchor_rows, &mut ctx.eval)?;
+            let (rows, mut sups) = self.rederive(a, &keys, plan, ctx)?;
             for (i, row) in rows.into_iter().enumerate() {
                 let inputs = sups
                     .as_mut()
@@ -2514,8 +2442,26 @@ impl OverlogRuntime {
                 }
             }
         }
+        debug_assert!(derived.is_empty(), "re-derived a key no delta touched");
         self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
         Ok(true)
+    }
+
+    /// Re-derive the touched `keys` through anchored rule `a`: run its
+    /// anchor variant over the anchor rows the keys probe. Runs no kernel
+    /// when no anchor row matches.
+    fn rederive(
+        &mut self,
+        a: &AnchorEval,
+        keys: &std::collections::BTreeSet<Vec<Value>>,
+        plan: &Plan,
+        ctx: &mut TickCtx,
+    ) -> Result<(Vec<Row>, Option<Vec<Witness>>)> {
+        let anchor_rows = self.collect_anchor_rows(a, keys);
+        if anchor_rows.is_empty() {
+            return Ok((Vec::new(), None));
+        }
+        self.maint_eval(&plan.rules[a.rule], a.variant, &anchor_rows, &mut ctx.eval)
     }
 
     /// Maintain a Dred view (delete-and-rederive for a self-recursive,
@@ -2609,13 +2555,8 @@ impl OverlogRuntime {
                     .iter()
                     .map(|row| r.head_cols.iter().map(|&c| row[c].clone()).collect())
                     .collect();
-                let anchor_rows = self.collect_anchor_rows(&r.anchor, &keys);
-                if anchor_rows.is_empty() {
-                    continue;
-                }
+                let (rows, sups) = self.rederive(&r.anchor, &keys, plan, ctx)?;
                 let rule = &plan.rules[r.anchor.rule];
-                let (rows, sups) =
-                    self.maint_eval(rule, r.anchor.variant, &anchor_rows, &mut ctx.eval)?;
                 self.dred_insert_all(v, rule, rows, sups, &seen, &mut fresh, ctx)?;
             }
         }
@@ -2641,7 +2582,8 @@ impl OverlogRuntime {
     }
 
     /// Evaluate one variant for the maintainer over explicit delta rows,
-    /// charging the rule's maintenance counters and eval clock.
+    /// charging the rule's maintenance counters and eval clock. An
+    /// aggregate rule folds the rows into its group rows, in group order.
     fn maint_eval(
         &mut self,
         rule: &CompiledRule,
@@ -2650,7 +2592,12 @@ impl OverlogRuntime {
         scratch: &mut EvalScratch,
     ) -> Result<(Vec<Row>, Option<Vec<Witness>>)> {
         let t0 = std::time::Instant::now();
-        let out = self.eval_variant(rule, &rule.variants[vi], Some(delta), scratch)?;
+        let variant = &rule.variants[vi];
+        let out = if rule.aggregate {
+            (self.eval_groups(rule, variant, Some(delta), scratch)?, None)
+        } else {
+            self.eval_variant(rule, variant, Some(delta), scratch)?
+        };
         self.rule_stats[rule.id].maint_evals += 1;
         self.rule_stats[rule.id].eval_ns += t0.elapsed().as_nanos() as u64;
         Ok(out)
@@ -2708,47 +2655,36 @@ impl OverlogRuntime {
         if !plan.options.maintenance || !rule.is_view {
             return Ok(false);
         }
-        let Some(ViewMaint::GroupRecompute {
-            rule: rid,
-            anchor,
+        let Some(ViewMaint::KeyRederive {
+            key_cols,
+            rules,
             sources,
-            group_cols,
-            ..
         }) = plan.maint.views.get(&rule.head_tid)
         else {
             return Ok(false);
         };
-        if *rid != rule.id {
+        // An aggregate view re-derives through its only rule.
+        let [anchor] = rules.as_slice() else {
             return Ok(false);
-        }
+        };
+        debug_assert_eq!(anchor.rule, rule.id);
         // Read from the consumption marks without advancing them: the
         // end-of-tick pass re-folds anything consumed here (idempotent —
         // the values cannot change between stratum entry and commit
         // without dirtying the source logs again).
-        let Some(keys) = self.touched_keys(rule.head_tid, sources, group_cols, &plan, ctx)? else {
+        let Some(keys) = self.touched_keys(rule.head_tid, sources, key_cols, &plan, ctx)? else {
             return Ok(false);
         };
         if keys.is_empty() {
             return Ok(true);
         }
-        let t0 = std::time::Instant::now();
-        let anchor_rows = self.collect_anchor_rows(anchor, &keys);
-        let pairs = self.eval_groups(
-            rule,
-            &rule.variants[anchor.variant],
-            Some(&anchor_rows),
-            &mut ctx.eval,
-        )?;
-        let rows: Vec<Row> = pairs.into_iter().map(|(_, r)| r).collect();
-        self.rule_stats[rule.id].maint_evals += 1;
-        // Stop the clock before dispatch, as the tick loop does.
-        self.rule_stats[rule.id].eval_ns += t0.elapsed().as_nanos() as u64;
+        let (rows, _) = self.rederive(anchor, &keys, &plan, ctx)?;
         self.dispatch(rule, rows, None, ctx)?;
         Ok(true)
     }
 
-    /// The set of view keys (or group keys) named by the unconsumed delta
-    /// log entries of `sources`, or `None` when some dirty source is
+    /// The set of view keys named by the unconsumed delta log entries of
+    /// `sources`, or `None` when some dirty source is
     /// [`KeySource::Unbound`] — the caller falls back. A join-bound source
     /// runs its variant over its added and deleted rows against current
     /// state and projects the derived head rows onto `key_cols`.
@@ -3022,11 +2958,11 @@ impl Acc {
 }
 
 /// Group and fold the `n` rows an aggregate rule's kernel emitted (laid
-/// out back to back in `vals`) into `(group key, head row)` pairs, sorted
-/// by group key for deterministic emission. Each row holds the group key
-/// (the non-aggregate head columns, in head order), then one input per
+/// out back to back in `vals`) into head rows, sorted by group key for
+/// deterministic emission. Each row holds the group key (the
+/// non-aggregate head columns, in head order), then one input per
 /// aggregate that has an input variable.
-fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec<Value>, Row)>> {
+fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<Row>> {
     const ONE: Value = Value::Int(1);
     let nkeys = rule
         .head_args
@@ -3068,16 +3004,16 @@ fn fold_groups(rule: &CompiledRule, vals: &[Value], n: usize) -> Result<Vec<(Vec
     Ok(groups
         .into_iter()
         .map(|(key, accs)| {
-            let (mut keys, mut vals) = (key.iter(), accs.iter());
+            let (mut keys, mut vals) = (key.into_iter(), accs.iter());
             let row: Vec<Value> = rule
                 .head_args
                 .iter()
                 .map(|a| match a {
-                    CHeadArg::Key => keys.next().expect("one key per expr").clone(),
+                    CHeadArg::Key => keys.next().expect("one key per expr"),
                     CHeadArg::Agg(..) => vals.next().expect("one acc per agg").value(),
                 })
                 .collect();
-            (key, Arc::new(row))
+            Arc::new(row)
         })
         .collect())
 }

@@ -367,8 +367,12 @@ impl Oracle {
                 }
             }
             BodyElem::Assign(v, e) => {
+                // Assigning a bound variable tests equality.
                 let mut env = env;
                 let val = self.eval(e, &env);
+                if env.get(v).is_some_and(|old| *old != val) {
+                    return;
+                }
                 env.insert(v.clone(), val);
                 self.solve(body, rest, env, out);
             }

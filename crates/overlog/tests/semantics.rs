@@ -270,6 +270,27 @@ fn assignments_and_builtins() {
 }
 
 #[test]
+fn assignment_to_a_bound_variable_constrains_it() {
+    // The `small`-delta variant scans `small(M, Z)` before `M := X % 4`
+    // runs, so the assignment finds `M` bound: it must filter, not rebind
+    // `M` and join every `small` row.
+    let mut r = rt("define(base, keys(0), {Int});
+                    define(small, keys(0), {Int, Int});
+                    define(joined, keys(0,1), {Int, Int});
+                    joined(X, Z) :- base(X), M := X % 4, small(M, Z);");
+    for x in [1, 6] {
+        r.insert("base", row(vec![Value::Int(x)])).unwrap();
+    }
+    r.tick(0).unwrap();
+    for m in 0..4 {
+        r.insert("small", row(vec![Value::Int(m), Value::Int(10 + m)]))
+            .unwrap();
+    }
+    r.tick(1).unwrap();
+    assert_eq!(ints(&r, "joined"), vec![vec![1, 11], vec![6, 12]]);
+}
+
+#[test]
 fn custom_builtin_registration() {
     let mut r = OverlogRuntime::new("n1");
     r.register_builtin("triple", |args| {

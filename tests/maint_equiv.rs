@@ -8,16 +8,18 @@
 mod churn;
 
 /// Maintenance invariance: a runtime whose views span every maintenance
-/// strategy — KeyRederive (a whole-row-keyed filter and a join keyed
-/// entirely off one side), GroupRecompute (keyed and global aggregates,
-/// including one over a maintained view), DRed (a recursive reachability
-/// view whose rows often have several derivations, so deletions must
-/// re-derive), and the recompute fallback (a projection with a computed
-/// head key column, which no delta row names) — must produce a
-/// byte-identical state fingerprint with incremental maintenance on and
-/// off, over arbitrary interleavings of batched inserts, key overwrites,
-/// and delete storms. The NameNode namespace-churn legs do the same for
-/// `fqpath`/`child`/`ls_dir` (see `tests/churn/`).
+/// strategy — keyed re-derivation (a whole-row-keyed filter, a join keyed
+/// entirely off one side, and keyed and global aggregates re-folded by
+/// group, two of them over maintained views and one declaring its key
+/// with the group columns out of head order), DRed (a recursive
+/// reachability view whose rows often have several derivations, so
+/// deletions must re-derive), and the recompute fallback (a projection
+/// with a computed head key column, which no delta row names) — must
+/// produce a byte-identical state fingerprint with incremental
+/// maintenance on and off, over arbitrary interleavings of batched
+/// inserts, key overwrites, and delete storms. The NameNode
+/// namespace-churn legs do the same for `fqpath`/`child`/`ls_dir` (see
+/// `tests/churn/`).
 mod maint_invariance {
     use boom::overlog::value::row;
     use boom::overlog::{OverlogRuntime, PlanOptions, Value};
@@ -39,6 +41,7 @@ mod maint_invariance {
              define(bysum, keys(0), {Int, Int});
              define(joined, keys(0,1), {Int, Int, Int});
              define(dtotal, keys(), {Int});
+             define(jcnt, keys(1, 0), {Int, Int, Int});
              define(reach, keys(0,1), {Int, Int});
              small(0, 10); small(1, 11); small(2, 12); small(3, 13);
              base(X, Y) :- e(X, Y);
@@ -50,6 +53,7 @@ mod maint_invariance {
              bysum(X, sum<Y>) :- base(X, Y);
              joined(X, Y, Z) :- base(X, Y), M := X % 4, small(M, Z);
              dtotal(sum<Y>) :- kept(_, Y);
+             jcnt(X, Z, count<*>) :- joined(X, _, Z);
              reach(X, Y) :- base(X, Y), X != Y;
              reach(X, Z) :- base(X, Y), X != Y, reach(Y, Z);",
         )
@@ -59,7 +63,9 @@ mod maint_invariance {
 
     /// Replay `ops` against one node: positive values insert `e(k, v)`
     /// (`slot` makes low keys overwrite), negatives fire the delete rule
-    /// for key `k`. Unit latency coalesces each tranche into one tick.
+    /// for key `k`. Each tranche of consecutive inserts or deletes is one
+    /// tick: `base` rows land the tick after their `e` event, so a delete
+    /// must come in a later tick than the insert it retracts.
     fn run(maintenance: bool, keyspace: i64, ops: &[(bool, i64, i64)]) -> String {
         let mut sim = Sim::new(SimConfig {
             seed: 9,
@@ -77,14 +83,17 @@ mod maint_invariance {
             },
         );
         let k = keyspace.max(1);
-        for &(insert, x, y) in ops {
-            if insert {
-                sim.inject("n0", "e", row(vec![Value::Int(x % k), Value::Int(y)]));
-            } else {
-                sim.inject("n0", "d", row(vec![Value::Int(x % k)]));
+        for tranche in ops.chunk_by(|a, b| a.0 == b.0) {
+            for &(insert, x, y) in tranche {
+                if insert {
+                    sim.inject("n0", "e", row(vec![Value::Int(x % k), Value::Int(y)]));
+                } else {
+                    sim.inject("n0", "d", row(vec![Value::Int(x % k)]));
+                }
             }
+            sim.run_for(1);
         }
-        sim.run_until(3_000);
+        sim.run_for(3_000);
         overlog_state_fingerprint(&mut sim)
     }
 
@@ -290,7 +299,13 @@ mod maint_invariance {
                 ops.push((false, i, 0));
             }
         }
-        assert_eq!(run(true, 6, &ops), run(false, 6, &ops));
+        let maintained = run(true, 6, &ops);
+        // The last wave deletes every key, so every view over `base` ends
+        // empty: the deletes really ran.
+        for view in ["base[", "joined[", "jcnt[", "reach["] {
+            assert!(!maintained.contains(view), "{view} {maintained}");
+        }
+        assert_eq!(maintained, run(false, 6, &ops));
     }
 
     /// A whole-row-keyed filter view (the MR `task_done` shape) and an
