@@ -46,7 +46,7 @@ use crate::ids::{IdSet, TableId, TableIds};
 use crate::kernel::{self, KCheck, KExpr, KOp, Kernel};
 use crate::parser::parse_program;
 use crate::plan::{self, CHeadArg, CompiledRule, Plan, Variant};
-use crate::table::{Candidates, ColGroup, Column, InsertOutcome, Table};
+use crate::table::{Candidates, ColGroup, InsertOutcome, Table};
 use crate::value::{Row, TypeTag, Value};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -196,6 +196,36 @@ pub struct EvalStats {
 enum Pending {
     Insert(TableId, Row),
     Delete(TableId, Row),
+}
+
+/// One committed change to a table: the unit the write path publishes
+/// (see [`OverlogRuntime::publish`]).
+#[derive(Debug, Clone, Copy)]
+enum Change<'a> {
+    /// A row that was not in the table.
+    Insert(&'a Row),
+    /// A key overwrite: `(old, new)`.
+    Overwrite(&'a Row, &'a Row),
+    /// A row that left the table.
+    Delete(&'a Row),
+}
+
+impl<'a> Change<'a> {
+    /// The row leaving the table, if any.
+    fn leaving(self) -> Option<&'a Row> {
+        match self {
+            Change::Overwrite(old, _) | Change::Delete(old) => Some(old),
+            Change::Insert(_) => None,
+        }
+    }
+
+    /// The row entering the table, if any.
+    fn entering(self) -> Option<&'a Row> {
+        match self {
+            Change::Insert(new) | Change::Overwrite(_, new) => Some(new),
+            Change::Delete(_) => None,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -421,9 +451,10 @@ struct TickCtx {
     grow_dirty: IdSet,
     changed_tables: IdSet,
     /// Per-table log of rows that *entered* a view input this tick (new
-    /// inserts and the new side of key-overwrites). Fed only when
-    /// [`plan::PlanOptions::maintenance`] is on, and only for view inputs;
-    /// the maintenance executor reads slices of it to scope its work.
+    /// inserts and the new side of key-overwrites), fed by the write path
+    /// ([`OverlogRuntime::publish`]) for view inputs only. Only the
+    /// maintenance executor reads it, to scope its work, so it is fed
+    /// whatever [`plan::PlanOptions::maintenance`] says.
     m_add: Vec<Vec<Row>>,
     /// Per-table log of rows that *left* a view input this tick (deletions
     /// and the old side of key-overwrites). Same gating as `m_add`.
@@ -804,27 +835,23 @@ impl OverlogRuntime {
         let Some(tid) = self.ids.get(name) else {
             return Ok(0);
         };
-        let old: Vec<Row> = self.tables[tid.idx()].scan().cloned().collect();
-        if old.is_empty() {
-            return Ok(0);
-        }
-        if self.durable_ids.contains(tid) {
-            self.commit_log
-                .extend(old.iter().map(|r| (tid, r.clone(), CommitOp::Delete)));
-        }
-        if self.tap_ids.contains(tid) {
-            let (tick, now) = (self.tick_count, self.now);
-            self.tap_log.extend(
-                old.iter()
-                    .map(|r| (tid, r.clone(), CommitOp::Delete, tick, now)),
-            );
-        }
-        let n = old.len();
-        self.tables[tid.idx()].clear();
-        if self.plan.view_inputs.contains(tid) || self.plan.neg_view_inputs.contains(tid) {
+        let n = self.clear_logged(tid);
+        if n > 0 && (self.plan.view_inputs.contains(tid) || self.plan.neg_view_inputs.contains(tid))
+        {
             self.recompute_all_views()?;
         }
         Ok(n)
+    }
+
+    /// Empty a table from the host, logging each removed row (see
+    /// [`Self::log_change`]). Returns the number of rows removed.
+    fn clear_logged(&mut self, tid: TableId) -> usize {
+        let old: Vec<Row> = self.tables[tid.idx()].scan().cloned().collect();
+        for row in &old {
+            self.log_change(tid, Change::Delete(row));
+        }
+        self.tables[tid.idx()].clear();
+        old.len()
     }
 
     fn recompile(&mut self) -> Result<Plan> {
@@ -1208,9 +1235,6 @@ impl OverlogRuntime {
         (analysis::analyze(&ctx), map)
     }
 
-    /// Tick repeatedly (at the same virtual time) until no queued or
-    /// inductively-deferred work remains, collecting all network sends.
-    /// Bounded; errors if the program does not quiesce within 64 ticks.
     /// Mark every eligible table durable: committed deltas of non-event,
     /// non-view tables (except the ambient `me` fact, which the
     /// constructor recreates) are appended to the commit log for the host
@@ -1437,31 +1461,12 @@ impl OverlogRuntime {
             }
             // The clear must reach the log too, or a later physical replay
             // would resurrect rows the install removed.
-            if self.durable_ids.contains(tid) {
-                let old: Vec<Row> = self.tables[tid.idx()].scan().cloned().collect();
-                self.commit_log
-                    .extend(old.into_iter().map(|r| (tid, r, CommitOp::Delete)));
-            }
-            if self.tap_ids.contains(tid) {
-                let (tick, now) = (self.tick_count, self.now);
-                let old: Vec<Row> = self.tables[tid.idx()].scan().cloned().collect();
-                self.tap_log.extend(
-                    old.into_iter()
-                        .map(|r| (tid, r, CommitOp::Delete, tick, now)),
-                );
-            }
-            self.tables[tid.idx()].clear();
+            self.clear_logged(tid);
             for row in rows {
                 let t = &mut self.tables[tid.idx()];
                 let row = t.coerce(row.clone());
                 t.insert(row.clone())?;
-                if self.durable_ids.contains(tid) {
-                    self.commit_log.push((tid, row.clone(), CommitOp::Insert));
-                }
-                if self.tap_ids.contains(tid) {
-                    self.tap_log
-                        .push((tid, row, CommitOp::Insert, self.tick_count, self.now));
-                }
+                self.log_change(tid, Change::Insert(&row));
                 applied += 1;
             }
         }
@@ -1493,6 +1498,9 @@ impl OverlogRuntime {
         res
     }
 
+    /// Tick repeatedly (at the same virtual time) until no queued or
+    /// inductively-deferred work remains, collecting all network sends.
+    /// Bounded; errors if the program does not quiesce within 64 ticks.
     pub fn settle(&mut self, now: u64) -> Result<Vec<NetTuple>> {
         let mut sends = Vec::new();
         for _ in 0..64 {
@@ -1736,31 +1744,15 @@ impl OverlogRuntime {
         Ok(result)
     }
 
-    /// Delete a row from a local table and publish the retraction: WAL
-    /// record, tap record, watch trace, then the view-maintenance marks.
+    /// Delete a row from a local table and publish the retraction.
     /// Reports whether the row was present.
     fn apply_delete(&mut self, tid: TableId, row: &Row, ctx: &mut TickCtx) -> bool {
         if !self.tables[tid.idx()].delete(row) {
             return false;
         }
-        if self.durable_ids.contains(tid) {
-            self.commit_log.push((tid, row.clone(), CommitOp::Delete));
-        }
-        if self.tap_ids.contains(tid) {
-            self.tap_log.push((
-                tid,
-                row.clone(),
-                CommitOp::Delete,
-                self.tick_count,
-                self.now,
-            ));
-        }
-        self.record_trace(tid, row, TraceOp::Delete);
+        self.publish(tid, Change::Delete(row), ctx);
         if self.plan.view_inputs.contains(tid) {
             ctx.shrink_dirty.insert(tid);
-            if self.plan.options.maintenance {
-                ctx.m_del[tid.idx()].push(row.clone());
-            }
         }
         true
     }
@@ -1778,79 +1770,86 @@ impl OverlogRuntime {
         // Deltas must hold exactly what the table holds (Addr coercion).
         let row = t.coerce(row);
         let outcome = t.insert(row.clone())?;
-        match &outcome {
-            InsertOutcome::New => {
-                ctx.added[tid.idx()].push(row.clone());
-                ctx.changed_tables.insert(tid);
-                if self.durable_ids.contains(tid) {
-                    self.commit_log.push((tid, row.clone(), CommitOp::Insert));
-                }
-                if self.tap_ids.contains(tid) && !self.tap_suspended {
-                    self.tap_log.push((
-                        tid,
-                        row.clone(),
-                        CommitOp::Insert,
-                        self.tick_count,
-                        self.now,
-                    ));
-                }
-                self.record_trace(tid, &row, TraceOp::Insert);
-                if self.plan.options.maintenance && self.plan.view_inputs.contains(tid) {
-                    ctx.m_add[tid.idx()].push(row.clone());
-                }
-                // Negation is non-monotone: growing a table that appears
-                // negated in a view rule can retract view tuples, so it
-                // dirties views exactly like a deletion would — even when
-                // the insert itself came from a view rule (one view can
-                // feed another's negation).
-                if self.plan.neg_view_inputs.contains(tid) {
-                    ctx.grow_dirty.insert(tid);
-                }
-            }
-            InsertOutcome::Replaced(old) => {
-                ctx.added[tid.idx()].push(row.clone());
-                ctx.changed_tables.insert(tid);
-                if self.durable_ids.contains(tid) {
-                    self.commit_log.push((tid, row.clone(), CommitOp::Insert));
-                }
-                if self.tap_ids.contains(tid) && !self.tap_suspended {
-                    // Retraction semantics: the overwritten row leaves the
-                    // table, so subscribers see an explicit Delete first.
-                    self.tap_log.push((
-                        tid,
-                        old.clone(),
-                        CommitOp::Delete,
-                        self.tick_count,
-                        self.now,
-                    ));
-                    self.tap_log.push((
-                        tid,
-                        row.clone(),
-                        CommitOp::Insert,
-                        self.tick_count,
-                        self.now,
-                    ));
-                }
-                self.record_trace(tid, &row, TraceOp::Insert);
-                if self.plan.options.maintenance && self.plan.view_inputs.contains(tid) {
-                    ctx.m_del[tid.idx()].push(old.clone());
-                    ctx.m_add[tid.idx()].push(row.clone());
-                }
-                // A key-overwrite removes a tuple other derivations may have
-                // consumed: views over this table must be rebuilt — unless
-                // the overwrite came from a view rule itself (aggregates
-                // refreshing their groups), which is self-consistent.
-                // Negated inputs dirty unconditionally (see above).
-                if !from_view_rule && self.plan.view_inputs.contains(tid) {
-                    ctx.shrink_dirty.insert(tid);
-                }
-                if self.plan.neg_view_inputs.contains(tid) {
-                    ctx.grow_dirty.insert(tid);
-                }
-            }
-            InsertOutcome::Duplicate => {}
+        let change = match &outcome {
+            InsertOutcome::New => Change::Insert(&row),
+            InsertOutcome::Replaced(old) => Change::Overwrite(old, &row),
+            InsertOutcome::Duplicate => return Ok(outcome),
+        };
+        ctx.added[tid.idx()].push(row.clone());
+        ctx.changed_tables.insert(tid);
+        self.publish(tid, change, ctx);
+        // A key-overwrite removes a tuple other derivations may have
+        // consumed: views over this table must be rebuilt — unless the
+        // overwrite came from a view rule itself (aggregates refreshing
+        // their groups), which is self-consistent.
+        if matches!(change, Change::Overwrite(..))
+            && !from_view_rule
+            && self.plan.view_inputs.contains(tid)
+        {
+            ctx.shrink_dirty.insert(tid);
+        }
+        // Negation is non-monotone: growing a table that appears negated
+        // in a view rule can retract view tuples, so it dirties views
+        // exactly like a deletion would — even when the insert itself came
+        // from a view rule (one view can feed another's negation).
+        if self.plan.neg_view_inputs.contains(tid) {
+            ctx.grow_dirty.insert(tid);
         }
         Ok(outcome)
+    }
+
+    /// The write path: publish one change made inside a tick. Writes its
+    /// log records (see [`Self::log_change`]), its watch trace, and, for a
+    /// view input, its entries in the maintenance logs `m_add`/`m_del`.
+    /// Every insert, overwrite and delete a tick commits comes through
+    /// here, from the semi-naive path and the maintainer alike; writes
+    /// that are unpublished on purpose (restore's replay, DRed's
+    /// over-delete and re-insert, a rebuild's own inserts) call the
+    /// table directly.
+    fn publish(&mut self, tid: TableId, change: Change<'_>, ctx: &mut TickCtx) {
+        self.log_change(tid, change);
+        match change {
+            Change::Insert(row) | Change::Overwrite(_, row) => {
+                self.record_trace(tid, row, TraceOp::Insert)
+            }
+            Change::Delete(row) => self.record_trace(tid, row, TraceOp::Delete),
+        }
+        if self.plan.view_inputs.contains(tid) {
+            if let Some(old) = change.leaving() {
+                ctx.m_del[tid.idx()].push(old.clone());
+            }
+            if let Some(new) = change.entering() {
+                ctx.m_add[tid.idx()].push(new.clone());
+            }
+        }
+    }
+
+    /// The write path's log layer, also called alone by host writes
+    /// outside a tick and by a rebuild's tap diff. Appends the change's
+    /// write-ahead-log record, for durable tables only: the row as stored,
+    /// and for an overwrite just the new row (replay re-applies the
+    /// overwrite). Appends its tap records: an overwrite is a retraction
+    /// then an insert, and nothing is written while a rebuild suspends
+    /// the taps.
+    fn log_change(&mut self, tid: TableId, change: Change<'_>) {
+        if self.durable_ids.contains(tid) {
+            let (row, op) = match change {
+                Change::Insert(row) | Change::Overwrite(_, row) => (row, CommitOp::Insert),
+                Change::Delete(row) => (row, CommitOp::Delete),
+            };
+            self.commit_log.push((tid, row.clone(), op));
+        }
+        if self.tap_ids.contains(tid) && !self.tap_suspended {
+            let (tick, now) = (self.tick_count, self.now);
+            if let Some(old) = change.leaving() {
+                self.tap_log
+                    .push((tid, old.clone(), CommitOp::Delete, tick, now));
+            }
+            if let Some(new) = change.entering() {
+                self.tap_log
+                    .push((tid, new.clone(), CommitOp::Insert, tick, now));
+            }
+        }
     }
 
     fn record_trace(&mut self, tid: TableId, row: &Row, op: TraceOp) {
@@ -2126,7 +2125,6 @@ impl OverlogRuntime {
         // the before/after snapshots).
         for (tid, before) in tap_before {
             let after = self.tables[tid.idx()].sorted_rows();
-            let (tick, now) = (self.tick_count, self.now);
             let (mut i, mut j) = (0usize, 0usize);
             while i < before.len() || j < after.len() {
                 match (before.get(i), after.get(j)) {
@@ -2135,24 +2133,16 @@ impl OverlogRuntime {
                         j += 1;
                     }
                     (Some(b), Some(a)) if b < a => {
-                        self.tap_log
-                            .push((tid, b.clone(), CommitOp::Delete, tick, now));
+                        self.log_change(tid, Change::Delete(b));
                         i += 1;
                     }
-                    (Some(_), Some(a)) => {
-                        self.tap_log
-                            .push((tid, a.clone(), CommitOp::Insert, tick, now));
+                    (_, Some(a)) => {
+                        self.log_change(tid, Change::Insert(a));
                         j += 1;
                     }
                     (Some(b), None) => {
-                        self.tap_log
-                            .push((tid, b.clone(), CommitOp::Delete, tick, now));
+                        self.log_change(tid, Change::Delete(b));
                         i += 1;
-                    }
-                    (None, Some(a)) => {
-                        self.tap_log
-                            .push((tid, a.clone(), CommitOp::Insert, tick, now));
-                        j += 1;
                     }
                     (None, None) => unreachable!("loop condition"),
                 }
@@ -2437,7 +2427,8 @@ impl OverlogRuntime {
                 }
                 None => {
                     if let Some(old) = self.tables[v.idx()].delete_by_key(key) {
-                        self.log_maint_delete(v, &old, ctx);
+                        self.eval_stats.maint_rows_retracted += 1;
+                        self.publish(v, Change::Delete(&old), ctx);
                     }
                 }
             }
@@ -2574,7 +2565,7 @@ impl OverlogRuntime {
         // 5. Publish the over-deleted rows nothing re-derived.
         for row in &over {
             if !self.tables[v.idx()].contains(row) {
-                self.publish_maint_delete(v, row, ctx);
+                self.publish(v, Change::Delete(row), ctx);
             }
         }
         self.advance_marks(v, sources.iter().copied(), ctx);
@@ -2799,10 +2790,10 @@ impl OverlogRuntime {
     }
 
     /// Direct insert into a maintained view, mirroring the rebuild path's
-    /// semantics (no semi-naive delta log, no coercion, no WAL — views are
-    /// never durable) plus incremental tap records and the view's own
-    /// delta log for downstream maintained views. Returns whether the row
-    /// changed the table (new or key-overwrite).
+    /// semantics (no semi-naive delta log, no coercion), published like
+    /// every tick write (see [`Self::publish`]): the view's own delta log
+    /// feeds downstream maintained views. Returns whether the row changed
+    /// the table (new or key-overwrite).
     fn maint_insert(
         &mut self,
         v: TableId,
@@ -2813,52 +2804,14 @@ impl OverlogRuntime {
     ) -> Result<bool> {
         self.charge_derivation(ctx)?;
         let outcome = self.tables[v.idx()].insert(row.clone())?;
-        if !matches!(outcome, InsertOutcome::Duplicate) {
-            self.eval_stats.maint_rows_rederived += 1;
-        }
-        match outcome {
-            InsertOutcome::New => {
-                self.record_prov(rule, &row, inputs);
-                self.record_trace(v, &row, TraceOp::Insert);
-                if self.tap_ids.contains(v) {
-                    self.tap_log.push((
-                        v,
-                        row.clone(),
-                        CommitOp::Insert,
-                        self.tick_count,
-                        self.now,
-                    ));
-                }
-                if self.plan.view_inputs.contains(v) {
-                    ctx.m_add[v.idx()].push(row);
-                }
-            }
-            InsertOutcome::Replaced(old) => {
-                self.record_prov(rule, &row, inputs);
-                self.record_trace(v, &row, TraceOp::Insert);
-                if self.tap_ids.contains(v) {
-                    self.tap_log.push((
-                        v,
-                        old.clone(),
-                        CommitOp::Delete,
-                        self.tick_count,
-                        self.now,
-                    ));
-                    self.tap_log.push((
-                        v,
-                        row.clone(),
-                        CommitOp::Insert,
-                        self.tick_count,
-                        self.now,
-                    ));
-                }
-                if self.plan.view_inputs.contains(v) {
-                    ctx.m_del[v.idx()].push(old);
-                    ctx.m_add[v.idx()].push(row);
-                }
-            }
+        let change = match &outcome {
+            InsertOutcome::New => Change::Insert(&row),
+            InsertOutcome::Replaced(old) => Change::Overwrite(old, &row),
             InsertOutcome::Duplicate => return Ok(false),
-        }
+        };
+        self.eval_stats.maint_rows_rederived += 1;
+        self.record_prov(rule, &row, inputs);
+        self.publish(v, change, ctx);
         Ok(true)
     }
 
@@ -2871,26 +2824,6 @@ impl OverlogRuntime {
             ));
         }
         Ok(())
-    }
-
-    /// Log a deletion the maintenance executor performed (the row is
-    /// already out of the table): count it and publish it.
-    fn log_maint_delete(&mut self, v: TableId, row: &Row, ctx: &mut TickCtx) {
-        self.eval_stats.maint_rows_retracted += 1;
-        self.publish_maint_delete(v, row, ctx);
-    }
-
-    /// Publish a maintenance deletion: tap retraction, watch trace, and
-    /// the view's own delta log for downstream maintained views.
-    fn publish_maint_delete(&mut self, v: TableId, row: &Row, ctx: &mut TickCtx) {
-        if self.tap_ids.contains(v) {
-            self.tap_log
-                .push((v, row.clone(), CommitOp::Delete, self.tick_count, self.now));
-        }
-        self.record_trace(v, row, TraceOp::Delete);
-        if self.plan.view_inputs.contains(v) {
-            ctx.m_del[v.idx()].push(row.clone());
-        }
     }
 }
 
@@ -3042,8 +2975,8 @@ const GATE_MIN_ROWS: usize = 8;
 enum GateOutcome {
     /// No delta row passes the gate: skip the variant entirely.
     Skip,
-    /// Every row passes (or the gate was not vectorizable): evaluate
-    /// over the full slice.
+    /// Every row passes (or, on the per-row scan, some row does):
+    /// evaluate over the full slice.
     Full,
     /// A strict subset passes: evaluate over just those rows, kept in
     /// delta-arrival order.
@@ -3051,11 +2984,8 @@ enum GateOutcome {
 }
 
 /// Answer a variant's single-column delta gate from the round's
-/// column-group cache, building the group on first touch. A group
-/// answers `Some` only when its typed layout decides the literal's
-/// equality exactly as `Value` equality would (see
-/// [`ColGroup::select`]); otherwise — and for multi-column gates and
-/// tiny slices — this falls back to the per-row all-fail scan.
+/// column-group cache, building the group on first touch. Multi-column
+/// gates and tiny slices take the per-row all-fail scan instead.
 fn gate_select(
     gates: &mut FxHashMap<(usize, usize), ColGroup>,
     slice: &[Row],
@@ -3064,18 +2994,17 @@ fn gate_select(
 ) -> GateOutcome {
     if let [(col, v)] = gate {
         if slice.len() >= GATE_MIN_ROWS {
-            let group = gates
+            let sel = gates
                 .entry((dt, *col))
-                .or_insert_with(|| Column::from_rows(slice, *col).group());
-            if let Some(sel) = group.select(v) {
-                return if sel.is_empty() {
-                    GateOutcome::Skip
-                } else if sel.len() == slice.len() {
-                    GateOutcome::Full
-                } else {
-                    GateOutcome::Rows(sel.iter().map(|&i| slice[i as usize].clone()).collect())
-                };
-            }
+                .or_insert_with(|| ColGroup::from_rows(slice, *col))
+                .select(v);
+            return if sel.is_empty() {
+                GateOutcome::Skip
+            } else if sel.len() == slice.len() {
+                GateOutcome::Full
+            } else {
+                GateOutcome::Rows(sel.iter().map(|&i| slice[i as usize].clone()).collect())
+            };
         }
     }
     if slice.iter().all(|r| gate.iter().any(|(i, v)| r[*i] != *v)) {

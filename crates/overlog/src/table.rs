@@ -399,7 +399,7 @@ impl Table {
                 _ => v.clone(),
             })
             .collect();
-        std::sync::Arc::new(converted)
+        Arc::new(converted)
     }
 
     /// Insert a row with primary-key overwrite semantics.
@@ -621,125 +621,28 @@ impl Table {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Columnar representation
-// ---------------------------------------------------------------------------
-
-/// One typed column of a delta slice: a dense `i64` vector when every
-/// value is an integer, dictionary-interned `u32` codes when every value
-/// is a string, and a tagged-`Value` vector otherwise. The typed layouts
-/// are what lets the vectorized delta gates ([`Column::group`]) hash
-/// machine words instead of tagged values.
-#[derive(Debug, Clone)]
-pub enum Column {
-    /// Every value is `Value::Int`.
-    Int(Vec<i64>),
-    /// Every value is `Value::Str`: `codes[i]` indexes into `dict`.
-    Str {
-        codes: Vec<u32>,
-        dict: Vec<Arc<str>>,
-    },
-    /// Mixed or non-scalar values, stored as-is.
-    Val(Vec<Value>),
-}
-
-impl Column {
-    /// Build a column from one attribute of a row slice.
-    pub fn from_rows(rows: &[Row], col: usize) -> Column {
-        Column::from_values(rows.iter().map(|r| r[col].clone()).collect())
-    }
-
-    /// Build a column, picking the densest layout the values admit.
-    pub fn from_values(vals: Vec<Value>) -> Column {
-        if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Int(_))) {
-            return Column::Int(vals.iter().map(|v| v.as_int().unwrap()).collect());
-        }
-        if !vals.is_empty() && vals.iter().all(|v| matches!(v, Value::Str(_))) {
-            let mut dict: Vec<Arc<str>> = Vec::new();
-            let mut seen: FxHashMap<Arc<str>, u32> = FxHashMap::default();
-            let codes = vals
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => *seen.entry(s.clone()).or_insert_with(|| {
-                        dict.push(s.clone());
-                        (dict.len() - 1) as u32
-                    }),
-                    _ => unreachable!("all-Str checked above"),
-                })
-                .collect();
-            return Column::Str { codes, dict };
-        }
-        Column::Val(vals)
-    }
-
-    /// Group the column into a value → row-indices map for O(1) gate
-    /// selection (shared across every rule variant gating on this column
-    /// in a fixpoint round).
-    pub fn group(&self) -> ColGroup {
-        match self {
-            Column::Int(xs) => {
-                let mut m: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-                for (i, &x) in xs.iter().enumerate() {
-                    m.entry(x).or_default().push(i as u32);
-                }
-                ColGroup::Int(m)
-            }
-            Column::Str { codes, dict } => {
-                let mut per_code: Vec<Vec<u32>> = vec![Vec::new(); dict.len()];
-                for (i, &c) in codes.iter().enumerate() {
-                    per_code[c as usize].push(i as u32);
-                }
-                let m = dict.iter().cloned().zip(per_code.iter().cloned()).collect();
-                ColGroup::Str(m)
-            }
-            Column::Val(vs) => {
-                let mut m: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-                for (i, v) in vs.iter().enumerate() {
-                    m.entry(v.clone()).or_default().push(i as u32);
-                }
-                ColGroup::Val(m)
-            }
-        }
-    }
-}
-
-/// A column grouped by value: the vectorized form of a `delta_gate` —
-/// one pass over the column answers every variant's "which delta rows
-/// carry my literal?" with a selection index vector.
+/// One column of a delta slice grouped by value: the vectorized form of a
+/// `delta_gate`. One pass over the slice answers every variant's "which
+/// delta rows carry my literal?" with a selection index vector.
 #[derive(Debug)]
-pub enum ColGroup {
-    /// Grouping of a typed integer column.
-    Int(FxHashMap<i64, Vec<u32>>),
-    /// Grouping of an interned string column.
-    Str(FxHashMap<Arc<str>, Vec<u32>>),
-    /// Grouping of a mixed column (hash/eq of `Value` handles the
-    /// int/float cross-type equivalence exactly).
-    Val(FxHashMap<Value, Vec<u32>>),
-}
-
-static EMPTY_SEL: [u32; 0] = [];
+pub struct ColGroup(FxHashMap<Value, Vec<u32>>);
 
 impl ColGroup {
-    /// Row indices whose value equals `v`, in row order. `None` means
-    /// this probe type cannot be answered from the typed grouping
-    /// without risking a semantic mismatch (a float probe against an
-    /// integer column — `Int(2) == Float(2.0)` cross-type equality);
-    /// the caller must fall back to a per-row `Value` scan.
-    pub fn select(&self, v: &Value) -> Option<&[u32]> {
-        match (self, v) {
-            (ColGroup::Int(m), Value::Int(i)) => {
-                Some(m.get(i).map(|b| b.as_slice()).unwrap_or(&EMPTY_SEL))
-            }
-            (ColGroup::Int(_), Value::Float(_)) => None,
-            // No other variant compares equal to Int: empty selection.
-            (ColGroup::Int(_), _) => Some(&EMPTY_SEL),
-            (ColGroup::Str(m), Value::Str(s)) => {
-                Some(m.get(s).map(|b| b.as_slice()).unwrap_or(&EMPTY_SEL))
-            }
-            // Nothing cross-compares equal to Str (Addr is a distinct rank).
-            (ColGroup::Str(_), _) => Some(&EMPTY_SEL),
-            (ColGroup::Val(m), _) => Some(m.get(v).map(|b| b.as_slice()).unwrap_or(&EMPTY_SEL)),
+    /// Group attribute `col` of a row slice.
+    pub fn from_rows(rows: &[Row], col: usize) -> ColGroup {
+        let mut m: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
+        for (i, row) in rows.iter().enumerate() {
+            m.entry(row[col].clone()).or_default().push(i as u32);
         }
+        ColGroup(m)
+    }
+
+    /// Row indices whose value equals `v`, in row order. `Value`'s hash
+    /// agrees with its equality across int and float (`Int(2) ==
+    /// Float(2.0)`) for integers up to 2^53 in magnitude, so there this
+    /// selects exactly what a per-row scan would.
+    pub fn select(&self, v: &Value) -> &[u32] {
+        self.0.get(v).map_or(&[], Vec::as_slice)
     }
 }
 
@@ -1168,26 +1071,15 @@ mod tests {
     #[test]
     fn column_group_select_matches_value_equality() {
         let rows: Vec<Row> = vec![tuple!(1, "a"), tuple!(2, "b"), tuple!(1, "a")];
-        let c0 = Column::from_rows(&rows, 0);
-        let c1 = Column::from_rows(&rows, 1);
-        assert!(matches!(c0, Column::Int(_)));
-        assert!(matches!(c1, Column::Str { .. }));
-        let g0 = c0.group();
-        assert_eq!(g0.select(&Value::Int(1)).unwrap(), &[0, 2]);
-        assert_eq!(g0.select(&Value::Int(9)).unwrap(), &[] as &[u32]);
-        assert_eq!(g0.select(&Value::str("x")).unwrap(), &[] as &[u32]);
-        assert!(
-            g0.select(&Value::Float(1.0)).is_none(),
-            "float probe on int column must force the fallback scan"
-        );
-        let g1 = c1.group();
-        assert_eq!(g1.select(&Value::str("a")).unwrap(), &[0, 2]);
-        assert_eq!(g1.select(&Value::addr("a")).unwrap(), &[] as &[u32]);
-        // Mixed columns fall back to the tagged layout and answer every
-        // probe via Value hash/eq.
-        let mixed = Column::from_values(vec![Value::Int(2), Value::str("a")]);
-        assert!(matches!(mixed, Column::Val(_)));
-        let gv = mixed.group();
-        assert_eq!(gv.select(&Value::Float(2.0)).unwrap(), &[0]);
+        let g0 = ColGroup::from_rows(&rows, 0);
+        assert_eq!(g0.select(&Value::Int(1)), &[0, 2]);
+        assert_eq!(g0.select(&Value::Int(9)), &[] as &[u32]);
+        assert_eq!(g0.select(&Value::str("x")), &[] as &[u32]);
+        // Cross-type numeric equality: a float probe on an int column.
+        assert_eq!(g0.select(&Value::Float(1.0)), &[0, 2]);
+        assert_eq!(g0.select(&Value::Float(1.5)), &[] as &[u32]);
+        let g1 = ColGroup::from_rows(&rows, 1);
+        assert_eq!(g1.select(&Value::str("a")), &[0, 2]);
+        assert_eq!(g1.select(&Value::addr("a")), &[] as &[u32]);
     }
 }

@@ -5,13 +5,12 @@
 //! evaluation code with the engine. Maintenance is a *cost* decision;
 //! these tests are the randomized gate that it never becomes a
 //! *semantics* decision. Also home to
-//! the column-grouping property: the typed column layouts the delta
-//! gates vectorize over must select exactly the rows `Value` equality
-//! selects.
+//! the column-grouping property: the value groups the delta gates
+//! vectorize over must select exactly the rows `Value` equality selects.
 
 mod oracle;
 
-use boom_overlog::table::Column;
+use boom_overlog::table::ColGroup;
 use boom_overlog::value::row;
 use boom_overlog::{OverlogRuntime, PlanOptions, Row, Value};
 use oracle::Oracle;
@@ -261,23 +260,23 @@ fn value_strategy() -> impl Strategy<Value = Value> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Grouping a column built from any value mix selects, for every
-    /// probe value, exactly the row indices `Value` equality selects,
-    /// whichever layout (`Int` dense, `Str` dictionary, `Val` fallback)
-    /// it picked. `None` (a float probe on an integer column) defers to
-    /// the caller's per-row scan, so it asserts nothing.
+    /// Grouping a column of any value mix selects, for every probe
+    /// value, exactly the row indices `Value` equality selects. The
+    /// probes are the column's own values plus the float twin of every
+    /// int (`Int(2) == Float(2.0)`), so cross-type equality is checked
+    /// on int, float and mixed columns alike.
     #[test]
     fn column_group_selects_equal_values(
         vals in proptest::collection::vec(value_strategy(), 0..40)
     ) {
-        let group = Column::from_values(vals.clone()).group();
-        for v in &vals {
+        let rows: Vec<Row> = vals.iter().map(|v| row(vec![v.clone()])).collect();
+        let group = ColGroup::from_rows(&rows, 0);
+        let twins = vals.iter().filter_map(|v| v.as_int()).map(|i| Value::Float(i as f64));
+        for v in vals.iter().cloned().chain(twins) {
             let want: Vec<u32> = (0..vals.len() as u32)
-                .filter(|&i| vals[i as usize] == *v)
+                .filter(|&i| vals[i as usize] == v)
                 .collect();
-            if let Some(got) = group.select(v) {
-                prop_assert_eq!(got, want.as_slice());
-            }
+            prop_assert_eq!(group.select(&v), want.as_slice());
         }
     }
 }
