@@ -144,6 +144,18 @@ fn harvest(run: &mut ObservedRun, sim: &mut Sim, node: &str) {
         &format!("eval.maint_rows_rederived.{node}"),
         evals.maint_rows_rederived as f64,
     );
+    reg.gauge(
+        &format!("eval.agg_folds_entry.{node}"),
+        evals.agg_folds_entry as f64,
+    );
+    reg.gauge(
+        &format!("eval.agg_folds_maint.{node}"),
+        evals.agg_folds_maint as f64,
+    );
+    reg.gauge(
+        &format!("eval.agg_folds_rebuild.{node}"),
+        evals.agg_folds_rebuild as f64,
+    );
     for (table, n) in counts {
         reg.gauge(&format!("rows.{node}.{table}"), n as f64);
     }

@@ -150,7 +150,8 @@ pub struct RuleStats {
     pub delta_in: u64,
     /// Scoped evaluations driven by the incremental view maintainer
     /// (group re-folds, keyed re-derivations, DRed passes) — work that
-    /// replaced a from-scratch recompute of this rule's head.
+    /// replaced a from-scratch recompute of this rule's head. An
+    /// aggregate view's scoped stratum-entry fold counts here too.
     pub maint_evals: u64,
     /// Wall-clock nanoseconds spent evaluating the body, excluding head
     /// dispatch (non-deterministic, excluded from reproducibility checks).
@@ -190,6 +191,18 @@ pub struct EvalStats {
     /// over every table. Each row mutation costs at most three per index,
     /// so this tracks the deltas applied, not the size of the buckets.
     pub index_entries_touched: u64,
+    /// Aggregate groups folded by the scoped stratum-entry evaluation:
+    /// one per touched group key, a group that folds empty included.
+    pub agg_folds_entry: u64,
+    /// Aggregate groups re-folded by a maintenance pass (the end-of-tick
+    /// pass, or the pre-fixpoint pass after host deletions): one per
+    /// group key the delta logs name past the view's consumption marks.
+    pub agg_folds_maint: u64,
+    /// Aggregate groups produced by a from-scratch fold: a view rebuild
+    /// (the recompute fallback, or `maintenance: false`), or an
+    /// aggregate evaluated whole at stratum entry or after the fixpoint
+    /// (uncertified, unscopable or inductive).
+    pub agg_folds_rebuild: u64,
 }
 
 #[derive(Debug)]
@@ -460,10 +473,18 @@ struct TickCtx {
     /// and the old side of key-overwrites). Same gating as `m_add`.
     m_del: Vec<Vec<Row>>,
     /// Per-`(view, source)` consumption marks into `m_add`/`m_del`: how
-    /// far the view's maintenance has already read each source's logs
-    /// (the pre-fixpoint pass consumes a prefix, the commit pass the
-    /// rest). Reset every tick — the logs are per-tick.
+    /// far the view's maintenance has already read each source's logs.
+    /// Three readers consume them in turn, each advancing the marks past
+    /// what it read: the pre-fixpoint pass after host deletions, an
+    /// aggregate view's scoped stratum-entry fold, and the end-of-tick
+    /// pass, which reads the rest. Reset every tick — the logs are
+    /// per-tick.
     view_marks: FxHashMap<(TableId, TableId), (usize, usize)>,
+    /// `(view, group key)` of every stored aggregate group the scoped
+    /// stratum-entry fold found empty. That fold emits nothing for them,
+    /// so their stale rows stay visible until the end-of-tick pass
+    /// deletes them (see [`OverlogRuntime::maintain_keys`]).
+    emptied: Vec<(TableId, Vec<Value>)>,
     /// Pooled evaluator buffers (see [`EvalScratch`]); cleared per use,
     /// not per tick.
     eval: EvalScratch,
@@ -536,6 +557,7 @@ impl TickCtx {
         if !self.view_marks.is_empty() {
             self.view_marks.clear();
         }
+        self.emptied.clear();
     }
 }
 
@@ -2053,6 +2075,7 @@ impl OverlogRuntime {
         let t0 = std::time::Instant::now();
         let rows = self.eval_groups(rule, &rule.variants[0], None, &mut ctx.eval)?;
         self.rule_stats[rule.id].eval_ns += t0.elapsed().as_nanos() as u64;
+        self.eval_stats.agg_folds_rebuild += rows.len() as u64;
         self.dispatch(rule, rows, None, ctx)
     }
 
@@ -2386,7 +2409,11 @@ impl OverlogRuntime {
     /// then overwrite the keys whose row changed and delete the keys
     /// nothing derives any more. Unchanged keys cost nothing downstream.
     /// For an aggregate view the keys are its groups: emptied groups are
-    /// the keys nothing derives.
+    /// the keys nothing derives. Only the groups logged past the marks are
+    /// folded; the groups the stratum-entry fold found empty
+    /// ([`TickCtx::emptied`]) join the key loop unfolded, so they are
+    /// deleted in key order with the rest unless a later change re-derives
+    /// them.
     fn maintain_keys(
         &mut self,
         v: TableId,
@@ -2396,26 +2423,37 @@ impl OverlogRuntime {
         plan: &Plan,
         ctx: &mut TickCtx,
     ) -> Result<bool> {
-        let Some(keys) = self.touched_keys(v, sources, key_cols, plan, ctx)? else {
+        let Some(mut keys) = self.touched_keys(v, sources, key_cols, plan, ctx)? else {
             return Ok(false);
         };
-        if keys.is_empty() {
-            self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
-            return Ok(true);
-        }
         // A non-recursive view never reads itself, so re-deriving before
         // touching its rows sees the same state deleting first would.
         let mut derived = std::collections::BTreeMap::new();
-        for a in anchors {
-            let (rows, mut sups) = self.rederive(a, &keys, plan, ctx)?;
-            for (i, row) in rows.into_iter().enumerate() {
-                let inputs = sups
-                    .as_mut()
-                    .and_then(|sv| sv.get_mut(i))
-                    .map(std::mem::take)
-                    .unwrap_or_default();
-                let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                derived.insert(key, (a.rule, row, inputs));
+        if !keys.is_empty() {
+            if anchors.iter().any(|a| plan.rules[a.rule].aggregate) {
+                self.eval_stats.agg_folds_maint += keys.len() as u64;
+            }
+            for a in anchors {
+                let (rows, mut sups) = self.rederive(a, &keys, plan, ctx)?;
+                for (i, row) in rows.into_iter().enumerate() {
+                    let inputs = sups
+                        .as_mut()
+                        .and_then(|sv| sv.get_mut(i))
+                        .map(std::mem::take)
+                        .unwrap_or_default();
+                    let key: Vec<Value> = key_cols.iter().map(|&c| row[c].clone()).collect();
+                    derived.insert(key, (a.rule, row, inputs));
+                }
+            }
+        }
+        // Groups the stratum-entry fold found empty: deleted below unless
+        // re-derived above.
+        let mut i = 0;
+        while i < ctx.emptied.len() {
+            if ctx.emptied[i].0 == v {
+                keys.insert(ctx.emptied.swap_remove(i).1);
+            } else {
+                i += 1;
             }
         }
         for key in &keys {
@@ -2634,11 +2672,16 @@ impl OverlogRuntime {
     }
 
     /// Scoped stratum-entry evaluation of a certified aggregate view: fold
-    /// only the groups this tick's delta logs touched and dispatch them
-    /// exactly as the full evaluation would. Unchanged groups dispatch as
-    /// duplicates in the full path too, so restricting to touched groups
-    /// is invisible; emptied groups emit nothing in both paths (their
-    /// stale rows fall to the end-of-tick maintenance pass). Returns
+    /// only the groups the delta logs name past the view's consumption
+    /// marks, dispatch them exactly as the full evaluation would, and
+    /// advance the marks past the entries read. Unchanged groups dispatch
+    /// as duplicates in the full path too, so restricting to touched
+    /// groups is invisible. Emptied groups emit nothing in both paths:
+    /// their keys are carried in [`TickCtx::emptied`] and their stale
+    /// rows stay visible until the end-of-tick pass deletes them. That
+    /// pass folds only the groups logged after this fold, so a group is
+    /// folded twice in one tick only when its inputs changed again after
+    /// stratum entry (a deferred delete, upstream maintenance). Returns
     /// `false` when the rule is not certified or a dirty source cannot
     /// name its groups — the caller runs the full evaluation.
     fn scoped_aggregate(&mut self, rule: &CompiledRule, ctx: &mut TickCtx) -> Result<bool> {
@@ -2659,17 +2702,30 @@ impl OverlogRuntime {
             return Ok(false);
         };
         debug_assert_eq!(anchor.rule, rule.id);
-        // Read from the consumption marks without advancing them: the
-        // end-of-tick pass re-folds anything consumed here (idempotent —
-        // the values cannot change between stratum entry and commit
-        // without dirtying the source logs again).
-        let Some(keys) = self.touched_keys(rule.head_tid, sources, key_cols, &plan, ctx)? else {
+        let v = rule.head_tid;
+        let Some(mut keys) = self.touched_keys(v, sources, key_cols, &plan, ctx)? else {
             return Ok(false);
         };
+        self.advance_marks(v, sources.iter().map(|s| s.tid), ctx);
         if keys.is_empty() {
             return Ok(true);
         }
+        self.eval_stats.agg_folds_entry += keys.len() as u64;
         let (rows, _) = self.rederive(anchor, &keys, &plan, ctx)?;
+        for row in &rows {
+            keys.remove(
+                &key_cols
+                    .iter()
+                    .map(|&c| row[c].clone())
+                    .collect::<Vec<Value>>(),
+            );
+        }
+        let table = &self.tables[v.idx()];
+        ctx.emptied.extend(
+            keys.into_iter()
+                .filter(|key| table.get_by_key(key).is_some())
+                .map(|key| (v, key)),
+        );
         self.dispatch(rule, rows, None, ctx)?;
         Ok(true)
     }

@@ -144,14 +144,53 @@ impl Ord for Value {
             (Float(a), Float(b)) => a.total_cmp(b),
             // Numeric cross-comparison: ints and floats compare by value so
             // rule conditions like `Progress > 0` work on float columns.
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Addr(a), Addr(b)) => a.cmp(b),
             (List(a), List(b)) => a.cmp(b),
             _ => self.rank().cmp(&other.rank()),
         }
     }
+}
+
+/// 2^63: the least float above every `i64`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
+/// Exact comparison of an `Int` with a `Float`, consistent with
+/// `f64::total_cmp` among floats: an int sits at its exact value (no
+/// rounding through `f64`, which stops holding every integer at 2^53),
+/// `-0.0` sits just below `0`, and a NaN sits beyond the infinity on the
+/// side of its sign bit. So an int equals a float only when the float is
+/// integral, in `i64` range, not `-0.0`, and the same number — exactly
+/// the floats [`Hash`] hashes as that int.
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    if b.is_nan() {
+        return if b.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // `b` lies in [-2^63, 2^63), so its integer part is an exact `i64`,
+    // and subtracting it leaves the fraction exactly.
+    let whole = b.trunc();
+    a.cmp(&(whole as i64)).then_with(|| {
+        let frac = b - whole;
+        if frac > 0.0 {
+            Ordering::Less
+        } else if frac < 0.0 || b.is_sign_negative() && b == 0.0 {
+            Ordering::Greater
+        } else {
+            Ordering::Equal
+        }
+    })
 }
 
 impl Hash for Value {
@@ -169,7 +208,7 @@ impl Hash for Value {
             // Hash floats that are exactly integral the same way as ints so
             // `Int(2) == Float(2.0)` implies equal hashes.
             Value::Float(f) => {
-                if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+                if f.fract() == 0.0 && (-TWO_63..TWO_63).contains(f) {
                     state.write_u8(2);
                     (*f as i64).hash(state);
                 } else {
@@ -438,6 +477,85 @@ mod tests {
         let b = Value::Float(2.0);
         assert_eq!(a, b);
         assert_eq!(h(&a), h(&b));
+    }
+
+    #[test]
+    fn int_float_equality_is_exact_beyond_2_pow_53() {
+        let p53 = 1i64 << 53;
+        assert_ne!(Value::Int(p53 + 1), Value::Float(p53 as f64));
+        assert!(Value::Int(p53 + 1) > Value::Float(p53 as f64));
+        assert_eq!(Value::Int(p53), Value::Float(p53 as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(TWO_63));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-TWO_63));
+        assert!(Value::Int(0) > Value::Float(-0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::NAN));
+        assert!(Value::Int(i64::MIN) > Value::Float(-f64::NAN));
+        let set: crate::fx::FxHashSet<Value> = [Value::Int(p53 + 1)].into_iter().collect();
+        assert!(!set.contains(&Value::Float(p53 as f64)));
+    }
+
+    /// Ints and floats around the edges of exact representation: 2^53 ± 1,
+    /// the `i64` bounds and the floats next to ±2^63, signed zeros, halves,
+    /// infinities and NaNs of both signs.
+    fn numeric_edges() -> Vec<Value> {
+        let p53 = 1i64 << 53;
+        let ints = [
+            0,
+            1,
+            -1,
+            p53 - 1,
+            p53,
+            p53 + 1,
+            -p53 - 1,
+            -p53,
+            -p53 + 1,
+            i64::MAX,
+            i64::MAX - 1,
+            i64::MIN,
+            i64::MIN + 1,
+        ];
+        let floats = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            p53 as f64,
+            (p53 + 2) as f64,
+            -(p53 as f64),
+            p53 as f64 + 0.5,
+            TWO_63,
+            -TWO_63,
+            f64::from_bits(TWO_63.to_bits() - 1),
+            -f64::from_bits(TWO_63.to_bits() - 1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        ints.into_iter()
+            .map(Value::Int)
+            .chain(floats.into_iter().map(Value::Float))
+            .collect()
+    }
+
+    #[test]
+    fn mixed_numeric_order_is_total_and_agrees_with_hash() {
+        let edges = numeric_edges();
+        for a in &edges {
+            for b in &edges {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "antisymmetry: {a:?}, {b:?}");
+                if a == b {
+                    assert_eq!(h(a), h(b), "equal values hash equal: {a:?}, {b:?}");
+                }
+                for c in &edges {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "transitivity: {a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

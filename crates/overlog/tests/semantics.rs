@@ -627,6 +627,105 @@ fn min_max_skip_nulls_in_any_order() {
     }
 }
 
+/// A group that empties at stratum entry keeps its stale row until the end
+/// of the tick: moving `t`'s only row of group 1 to group 2 (a key
+/// overwrite, applied before the fixpoint) folds group 1 empty at stratum
+/// entry, which emits nothing for it. A later-stratum rule reading `cnt`
+/// in the same tick still sees `cnt(1, 1)`; the end-of-tick pass deletes
+/// it. The engine and the oracle agree, and the end-of-tick pass folds no
+/// group: the only source change came before stratum entry.
+#[test]
+fn emptied_group_stays_visible_until_the_end_of_its_tick() {
+    const SRC: &str = "define(t, keys(1), {Int, Int});
+         define(cnt, keys(0), {Int, Int});
+         define(saw, keys(0, 1), {Int, Int});
+         event probe, {Int};
+         cnt(G, count<X>) :- t(G, X);
+         saw(G, N) :- probe(_), cnt(G, N);";
+    let (mut r, mut o) = (rt(SRC), oracle::Oracle::new(SRC));
+    let t = |g: i64| row(vec![Value::Int(g), Value::Int(5)]);
+    r.insert("t", t(1)).unwrap();
+    o.insert("t", t(1));
+    r.tick(0).unwrap();
+    o.tick();
+    assert_eq!(ints(&r, "cnt"), vec![vec![1, 1]]);
+    let before = r.eval_stats();
+    for (table, row) in [("t", t(2)), ("probe", row(vec![Value::Int(0)]))] {
+        r.insert(table, row.clone()).unwrap();
+        o.insert(table, row);
+    }
+    r.tick(1).unwrap();
+    o.tick();
+    assert_eq!(
+        ints(&r, "cnt"),
+        vec![vec![2, 1]],
+        "stale group gone after the tick"
+    );
+    let after = r.eval_stats();
+    assert_eq!(after.agg_folds_entry - before.agg_folds_entry, 2);
+    assert_eq!(after.agg_folds_maint - before.agg_folds_maint, 0);
+    r.tick(2).unwrap();
+    o.tick();
+    let mut saw = ints(&r, "saw");
+    saw.sort();
+    assert_eq!(
+        saw,
+        vec![vec![1, 1], vec![2, 1]],
+        "the stale row was read in its tick"
+    );
+    let engine: Vec<String> = ["cnt", "saw", "t"]
+        .iter()
+        .flat_map(|t| {
+            r.table(t)
+                .unwrap()
+                .sorted_rows()
+                .into_iter()
+                .map(move |x| format!("{t}{x:?}"))
+        })
+        .collect();
+    let dump = o.dump();
+    let oracle: Vec<&str> = dump
+        .lines()
+        .filter(|l| {
+            ["cnt", "saw", "t"]
+                .iter()
+                .any(|t| l.starts_with(&format!("{t}[")))
+        })
+        .collect();
+    assert_eq!(engine, oracle);
+}
+
+/// An aggregate whose source grows before stratum entry and shrinks after
+/// it, through a deferred `delete` rule, in one tick: the stratum-entry
+/// fold sees the grown group and the end-of-tick pass folds it again, to
+/// the value without the deleted row. Each group is folded once at entry
+/// and once at the end of the tick.
+#[test]
+fn aggregate_refolds_after_a_deferred_delete_in_its_tick() {
+    let mut r = rt("event del, {Int, Int};
+                    define(t, keys(0, 1), {Int, Int});
+                    define(total, keys(0), {Int, Int});
+                    delete t(G, X) :- del(G, X), t(G, X);
+                    total(G, sum<X>) :- t(G, X);");
+    for x in [5, 7] {
+        r.insert("t", row(vec![Value::Int(1), Value::Int(x)]))
+            .unwrap();
+    }
+    r.tick(0).unwrap();
+    assert_eq!(ints(&r, "total"), vec![vec![1, 12]]);
+    let before = r.eval_stats();
+    r.insert("t", row(vec![Value::Int(1), Value::Int(9)]))
+        .unwrap();
+    r.insert("del", row(vec![Value::Int(1), Value::Int(5)]))
+        .unwrap();
+    r.tick(1).unwrap();
+    assert_eq!(ints(&r, "total"), vec![vec![1, 16]]);
+    let after = r.eval_stats();
+    assert_eq!(after.agg_folds_entry - before.agg_folds_entry, 1);
+    assert_eq!(after.agg_folds_maint - before.agg_folds_maint, 1);
+    assert_eq!(after.agg_folds_rebuild, 0);
+}
+
 /// A runtime with a counting builtin `f(X)` (returns `X`) and the call
 /// counter it bumps.
 fn counting(src: &str) -> (OverlogRuntime, Arc<std::sync::atomic::AtomicUsize>) {

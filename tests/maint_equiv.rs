@@ -115,7 +115,11 @@ mod maint_invariance {
 
     /// A dense graph: a recursive reachability view (DRed) whose rows
     /// often have several derivations, an aggregate over it, and a keyed
-    /// join whose `flag` side is join-bound. `with_hop` adds a recursive
+    /// join whose `flag` side is join-bound. A `later` event lands a
+    /// `drop` row next tick, together with the edges inserted beside it;
+    /// `drop`'s delete rule then removes those edges at the end of the
+    /// tick whose stratum entry folded them into `lo`, so `lo` must be
+    /// re-folded past its consumption marks. `with_hop` adds a recursive
     /// view anchored on an aggregate, which a view rule overwrites in
     /// place, so it must recompute.
     fn graph_runtime(name: &str, with_hop: bool) -> OverlogRuntime {
@@ -125,13 +129,20 @@ mod maint_invariance {
              event d, {Int};
              event f, {Int};
              event g, {Int};
+             event later, {Int};
              define(edge, keys(0,1), {Int, Int});
              define(flag, keys(0), {Int});
              define(reach, keys(0,1), {Int, Int});
              define(fanout, keys(0), {Int, Int});
              define(gated, keys(0,1), {Int, Int});
+             define(drop, keys(0), {Int});
+             define(lo, keys(0), {Int, Int});
              edge(X, Y) :- e(X, Y);
              delete edge(X, Y) :- d(X), edge(X, Y);
+             drop(X) :- later(X);
+             delete edge(X, Y) :- drop(X), edge(X, Y);
+             delete drop(X) :- drop(X);
+             lo(X, min<Y>) :- edge(X, Y);
              flag(M) :- f(M);
              delete flag(M) :- g(M), flag(M);
              reach(X, Y) :- edge(X, Y);
@@ -154,8 +165,9 @@ mod maint_invariance {
     }
 
     /// Replay `ticks` against the graph program, one tick per entry:
-    /// `(kind, x, y)` inserts edge `x -> y`, deletes `x`'s out-edges,
-    /// raises flag `x % 3`, or lowers it.
+    /// `(kind, x, y)` inserts edge `x -> y`, deletes `x`'s out-edges (in
+    /// this tick and, through `later`, the next), raises flag `x % 3`, or
+    /// lowers it.
     fn run_graph(maintenance: bool, keyspace: i64, ticks: &[Vec<(u8, i64, i64)>]) -> String {
         let mut sim = Sim::new(SimConfig {
             seed: 9,
@@ -175,7 +187,10 @@ mod maint_invariance {
                 let (x, y) = (Value::Int(x % k), Value::Int(y % k));
                 match kind % 6 {
                     0..=2 => sim.inject("n0", "e", row(vec![x, y])),
-                    3 => sim.inject("n0", "d", row(vec![x])),
+                    3 => {
+                        sim.inject("n0", "d", row(vec![x.clone()]));
+                        sim.inject("n0", "later", row(vec![x]));
+                    }
                     4 => sim.inject("n0", "f", row(vec![Value::Int(x.as_int().unwrap() % 3)])),
                     _ => sim.inject("n0", "g", row(vec![Value::Int(x.as_int().unwrap() % 3)])),
                 }
