@@ -701,8 +701,6 @@ pub struct DredRule {
 /// Per-plan maintenance strategies, built by the planner.
 #[derive(Debug, Clone, Default)]
 pub struct MaintPlan {
-    /// `verdicts[rule_id][variant_index]`; empty for non-view rules.
-    pub verdicts: Vec<Vec<MaintVerdict>>,
     /// Compiled strategy per view table. Views absent here always
     /// recompute (uncertified recursion, impure, or structurally
     /// unbindable).

@@ -181,9 +181,9 @@ pub struct Plan {
     /// aggregation — provably monotonic (CALM), so growth of their inputs
     /// never retracts their tuples.
     pub monotonic_views: IdSet,
-    /// Per-view maintenance strategies and per-variant verdicts (the
-    /// [`crate::analysis::maint`] pass); the runtime consults this to
-    /// propagate retractions incrementally instead of recomputing.
+    /// Per-view maintenance strategies (the [`crate::analysis::maint`]
+    /// pass); the runtime consults this to propagate retractions
+    /// incrementally instead of recomputing.
     pub maint: MaintPlan,
     /// Per-rule, per-variant kernel verdicts (the [`crate::kernel`]
     /// compiler): which index probes hash typed `i64` keys. Feeds
@@ -377,8 +377,9 @@ pub fn compile_with(
     // both: recomputation would silently drop event-derived tuples.
     analysis::view_conflict(rules, &classes)?;
 
-    // Maintenance verdicts per view-rule variant, plus the compiled
-    // per-view strategies the runtime executes under retraction.
+    // The compiled per-view strategies the runtime executes under
+    // retraction, certified from the maintenance verdicts per view-rule
+    // variant.
     let facts = maint::program_facts(rules, decls);
     let verdicts: Vec<Vec<maint::MaintVerdict>> = rules
         .iter()
@@ -393,7 +394,6 @@ pub fn compile_with(
         .collect();
     let maint_plan = MaintPlan {
         views: maint::view_strategies(rules, &compiled, decls, ids, &facts, &verdicts),
-        verdicts,
     };
 
     Ok(Plan {

@@ -32,8 +32,18 @@
 //! specifier) define *views*. Views are maintained incrementally on
 //! insertion. A deletion or key-overwrite of a view input affects only the
 //! views that depend on it; those are updated in place by the strategy
-//! [`crate::analysis::maint`] certified for them, or recomputed (always,
-//! with `PlanOptions::maintenance` off).
+//! [`crate::analysis::maint`] certified for them, or rebuilt (always, with
+//! `PlanOptions::maintenance` off).
+//!
+//! ## One write path, one delta log
+//!
+//! Every change a tick commits goes through one write path (`publish`):
+//! semi-naive derivations, the maintainer's updates, and a view rebuild,
+//! which publishes its exact before/after diff. The write path feeds the
+//! write-ahead log, the delta taps, the watch trace and the tick's single
+//! per-table insert log. That log is the fixpoint's semi-naive delta and
+//! the maintainer's input alike, so rows that maintenance or a rebuild
+//! adds before the fixpoint seed it like any other insert.
 
 use crate::analysis::maint::{AnchorEval, Bind, DredRule, KeySource, SourceDep, ViewMaint};
 use crate::analysis::{self, Diagnostic, SourceMap};
@@ -73,10 +83,15 @@ pub struct TickResult {
     pub derivations: u64,
     /// Number of tuples deleted at the tick boundary.
     pub deletions: usize,
-    /// Whether retraction propagation ran this tick — incrementally
-    /// maintained or fully recomputed view tables.
-    pub views_recomputed: bool,
 }
+
+/// Capacity of the watch trace's ring buffer: older records are evicted
+/// and counted in [`TraceDrain::dropped`].
+const TRACE_CAP: usize = 100_000;
+
+/// Cap on retained provenance records: derivations past it are counted in
+/// [`OverlogRuntime::prov_drops`] instead of stored.
+const PROV_CAP: usize = 200_000;
 
 /// Kind of a trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,7 +125,7 @@ pub struct TraceEvent {
 pub struct TraceDrain {
     /// The surviving records, oldest first.
     pub events: Vec<TraceEvent>,
-    /// Records evicted because the buffer hit `trace_cap` — silently lost
+    /// Records evicted because the buffer hit its capacity — silently lost
     /// history the consumer must account for.
     pub dropped: u64,
 }
@@ -371,7 +386,6 @@ pub struct OverlogRuntime {
     watch_ids: IdSet,
     pending: VecDeque<Pending>,
     trace: VecDeque<TraceEvent>,
-    trace_cap: usize,
     /// Records evicted from `trace` since the last drain.
     trace_dropped: u64,
     /// Count every derivation into the trace, not just watched tables
@@ -381,7 +395,6 @@ pub struct OverlogRuntime {
     prov_on: bool,
     prov: Vec<ProvRecord>,
     prov_seen: FxHashSet<(TableId, Row)>,
-    prov_cap: usize,
     prov_dropped: u64,
     budget: u64,
     rule_stats: Vec<RuleStats>,
@@ -392,9 +405,6 @@ pub struct OverlogRuntime {
     /// so the per-table delta logs and dedup sets keep their allocations
     /// across ticks instead of being rebuilt.
     scratch: TickCtx,
-    /// Pooled sub-context for view-aggregate recomputation (see
-    /// `eval_agg_into`).
-    agg_scratch: TickCtx,
     /// Durable marking in effect; `durable_ids` is the compiled form.
     durable_mode: DurableMode,
     /// Ids of the tables whose committed deltas are captured. Empty when
@@ -409,10 +419,6 @@ pub struct OverlogRuntime {
     tap_ids: IdSet,
     /// Tap records since the last [`OverlogRuntime::take_tap_delta`] drain.
     tap_log: Vec<(TableId, Row, CommitOp, u64, u64)>,
-    /// True while `recompute_views` rebuilds: incremental capture is
-    /// suspended (aggregate rebuilds re-insert every group through
-    /// `apply_insert`) — the rebuild is reported as an exact diff instead.
-    tap_suspended: bool,
     /// Host counters registered via [`OverlogRuntime::register_counter`],
     /// snapshot and restored with durable state.
     counters: Vec<(String, Arc<AtomicI64>)>,
@@ -429,15 +435,18 @@ impl std::fmt::Debug for OverlogRuntime {
     }
 }
 
-/// Per-tick workspace. The semi-naive delta is *zero-copy*: every row
-/// inserted this tick is appended once to the per-table `added` log, and a
-/// round's delta for table `t` is the slice `added[t][cursor[t]..hi[t]]` —
-/// references move, rows are never re-cloned into round buffers (the old
-/// `round_delta = added.clone()` / `delta_rows.clone()` copies).
+/// Per-tick workspace. The tick keeps one insert log per table, `added`,
+/// written only by the write path ([`OverlogRuntime::publish`]): every row
+/// that entered a table this tick, as stored. The semi-naive delta is
+/// *zero-copy*: a round's delta for table `t` is the slice
+/// `added[t][cursor[t]..hi[t]]` — references move, rows are never
+/// re-cloned into round buffers. The view maintainer reads the same log.
 #[derive(Default)]
 struct TickCtx {
-    /// Append-only per-table log of rows added this tick, indexed by
-    /// [`TableId`].
+    /// Append-only per-table log of rows that entered a table this tick
+    /// (new inserts and the new side of key-overwrites), indexed by
+    /// [`TableId`]. Rows the queue inserted and then removed again are
+    /// dropped from it before the pre-fixpoint maintenance pass.
     added: Vec<Vec<Row>>,
     /// Per-table read position of the current semi-naive round; reset to 0
     /// at stratum entry (each stratum reprocesses the whole tick's log).
@@ -463,16 +472,13 @@ struct TickCtx {
     /// growth, so the CALM-certified ones skip the rebuild.
     grow_dirty: IdSet,
     changed_tables: IdSet,
-    /// Per-table log of rows that *entered* a view input this tick (new
-    /// inserts and the new side of key-overwrites), fed by the write path
-    /// ([`OverlogRuntime::publish`]) for view inputs only. Only the
-    /// maintenance executor reads it, to scope its work, so it is fed
-    /// whatever [`plan::PlanOptions::maintenance`] says.
-    m_add: Vec<Vec<Row>>,
     /// Per-table log of rows that *left* a view input this tick (deletions
-    /// and the old side of key-overwrites). Same gating as `m_add`.
+    /// and the old side of key-overwrites), fed by the write path for view
+    /// inputs only. Only the maintenance executor reads it, to scope its
+    /// work, so it is fed whatever [`plan::PlanOptions::maintenance`]
+    /// says.
     m_del: Vec<Vec<Row>>,
-    /// Per-`(view, source)` consumption marks into `m_add`/`m_del`: how
+    /// Per-`(view, source)` consumption marks into `added`/`m_del`: how
     /// far the view's maintenance has already read each source's logs.
     /// Three readers consume them in turn, each advancing the marks past
     /// what it read: the pre-fixpoint pass after host deletions, an
@@ -550,8 +556,6 @@ impl TickCtx {
         self.shrink_dirty.clear();
         self.grow_dirty.clear();
         self.changed_tables.clear();
-        self.m_add.iter_mut().for_each(Vec::clear);
-        self.m_add.resize_with(ntables, Vec::new);
         self.m_del.iter_mut().for_each(Vec::clear);
         self.m_del.resize_with(ntables, Vec::new);
         if !self.view_marks.is_empty() {
@@ -587,13 +591,11 @@ impl OverlogRuntime {
             watch_ids: IdSet::new(),
             pending: VecDeque::new(),
             trace: VecDeque::new(),
-            trace_cap: 100_000,
             trace_dropped: 0,
             trace_all: false,
             prov_on: false,
             prov: Vec::new(),
             prov_seen: FxHashSet::default(),
-            prov_cap: 200_000,
             prov_dropped: 0,
             budget: 5_000_000,
             rule_stats: Vec::new(),
@@ -601,14 +603,12 @@ impl OverlogRuntime {
             tick_count: 0,
             now: 0,
             scratch: TickCtx::default(),
-            agg_scratch: TickCtx::default(),
             durable_mode: DurableMode::Off,
             durable_ids: IdSet::new(),
             commit_log: Vec::new(),
             tap_names: HashSet::new(),
             tap_ids: IdSet::new(),
             tap_log: Vec::new(),
-            tap_suspended: false,
             counters: Vec::new(),
         };
         let me = TableDecl {
@@ -860,7 +860,7 @@ impl OverlogRuntime {
         let n = self.clear_logged(tid);
         if n > 0 && (self.plan.view_inputs.contains(tid) || self.plan.neg_view_inputs.contains(tid))
         {
-            self.recompute_all_views()?;
+            self.refresh_views()?;
         }
         Ok(n)
     }
@@ -1035,18 +1035,6 @@ impl OverlogRuntime {
         was
     }
 
-    /// Whether any table is tapped.
-    pub fn taps_enabled(&self) -> bool {
-        !self.tap_ids.is_empty()
-    }
-
-    /// Names of the tapped tables, sorted.
-    pub fn tapped_tables(&self) -> Vec<String> {
-        let mut out: Vec<String> = self.tap_names.iter().cloned().collect();
-        out.sort();
-        out
-    }
-
     /// Drain the tap records captured since the last drain, in commit
     /// order. Empty (and free) unless taps are attached.
     pub fn take_tap_delta(&mut self) -> Vec<TapRecord> {
@@ -1090,20 +1078,6 @@ impl OverlogRuntime {
         }
     }
 
-    /// Records evicted from the trace ring buffer since the last drain.
-    pub fn trace_drops(&self) -> u64 {
-        self.trace_dropped
-    }
-
-    /// Resize the trace ring buffer (evicting oldest records if shrinking).
-    pub fn set_trace_cap(&mut self, cap: usize) {
-        self.trace_cap = cap.max(1);
-        while self.trace.len() > self.trace_cap {
-            self.trace.pop_front();
-            self.trace_dropped += 1;
-        }
-    }
-
     /// Enable or disable why-provenance capture (off by default; costs one
     /// `(table, row)` clone per joined body tuple while on). Turning it on
     /// records a first witness for every row already materialized in a
@@ -1142,12 +1116,6 @@ impl OverlogRuntime {
                 }
             }
         }
-    }
-
-    /// Cap on retained provenance records; derivations past the cap are
-    /// counted in [`OverlogRuntime::prov_drops`] instead of stored.
-    pub fn set_prov_cap(&mut self, cap: usize) {
-        self.prov_cap = cap;
     }
 
     /// Provenance records captured so far, in derivation order.
@@ -1194,11 +1162,6 @@ impl OverlogRuntime {
         }
     }
 
-    /// Program texts successfully loaded so far, in load order.
-    pub fn loaded_sources(&self) -> &[String] {
-        &self.sources
-    }
-
     /// All declared tables, including runtime-ambient ones.
     pub fn table_decls(&self) -> impl Iterator<Item = &TableDecl> {
         self.decls.values()
@@ -1209,21 +1172,6 @@ impl OverlogRuntime {
         let mut w: Vec<String> = self.watch_names.iter().cloned().collect();
         w.sort();
         w
-    }
-
-    /// Head tables of loaded non-delete rules (tables the program derives
-    /// into), sorted and deduplicated.
-    pub fn derived_tables(&self) -> Vec<String> {
-        let mut ts: Vec<String> = self
-            .plan
-            .rules
-            .iter()
-            .filter(|r| !r.delete)
-            .map(|r| r.head_table.clone())
-            .collect();
-        ts.sort();
-        ts.dedup();
-        ts
     }
 
     /// Number of loaded rules.
@@ -1458,7 +1406,7 @@ impl OverlogRuntime {
             self.set_counter(name, *v);
         }
         // 5. Derived state follows from the bases.
-        self.recompute_all_views()?;
+        self.refresh_views()?;
         // Tap records captured before the crash (or emitted by the restore
         // rebuild) describe a stream the restored runtime does not
         // continue — drop them; the serving tier resynchronizes
@@ -1492,7 +1440,7 @@ impl OverlogRuntime {
                 applied += 1;
             }
         }
-        self.recompute_all_views()?;
+        self.refresh_views()?;
         Ok(applied)
     }
 
@@ -1500,15 +1448,12 @@ impl OverlogRuntime {
     /// Rebuilding is idempotent (views are deterministic functions of
     /// their inputs), so this never changes observable state — but it
     /// *does* seed views installed after their inputs were already
-    /// populated, and tapped views report the rebuild as an exact diff.
-    /// The serving tier calls this right after installing a standing
-    /// query so the tap stream opens with the query's initial contents.
+    /// populated, and the rebuild publishes its exact diff to taps and the
+    /// watch trace. The serving tier calls this right after installing a
+    /// standing query so the tap stream opens with the query's initial
+    /// contents; host writes outside a tick call it to bring the views up
+    /// to date.
     pub fn refresh_views(&mut self) -> Result<()> {
-        self.recompute_all_views()
-    }
-
-    /// Rebuild every view table from the current base state.
-    fn recompute_all_views(&mut self) -> Result<()> {
         let affected = self.plan.view_tables.clone();
         if affected.is_empty() {
             return Ok(());
@@ -1574,12 +1519,16 @@ impl OverlogRuntime {
         }
         self.pending = work;
         if pre_dirty {
-            let affected = self.affected_views(&ctx.shrink_dirty, &ctx.grow_dirty);
-            if plan.options.maintenance {
-                self.update_views(&affected, &mut ctx)?;
-            } else {
-                self.recompute_views(&affected, &mut ctx)?;
+            // This pass consumes the inputs' shrinkage, so the fixpoint
+            // must not re-derive from rows the queue inserted and then
+            // removed again: only rows still stored may seed it. (The
+            // removals are in `m_del`, so the maintainer still sees them.)
+            for t in ctx.shrink_dirty.iter() {
+                let table = &self.tables[t.idx()];
+                ctx.added[t.idx()].retain(|row| table.contains(row));
             }
+            let affected = self.affected_views(&ctx.shrink_dirty, &ctx.grow_dirty);
+            self.update_views(&affected, &mut ctx)?;
             ctx.shrink_dirty.clear();
             ctx.grow_dirty.clear();
         }
@@ -1732,15 +1681,10 @@ impl OverlogRuntime {
         // 6. Propagate retractions into the affected views if any input
         // shrank (or a negated input of a non-monotonic view grew):
         // incrementally where the maintenance analysis certified a
-        // strategy, by full recomputation otherwise.
+        // strategy, by a rebuild otherwise.
         let affected = self.affected_views(&ctx.shrink_dirty, &ctx.grow_dirty);
-        let views_recomputed = !affected.is_empty();
-        if views_recomputed {
-            if plan.options.maintenance {
-                self.update_views(&affected, &mut ctx)?;
-            } else {
-                self.recompute_views(&affected, &mut ctx)?;
-            }
+        if !affected.is_empty() {
+            self.update_views(&affected, &mut ctx)?;
         }
 
         // 7. Queue inductive insertions for the next tick.
@@ -1759,7 +1703,6 @@ impl OverlogRuntime {
             sends: std::mem::take(&mut ctx.outbox),
             derivations: ctx.derivations,
             deletions,
-            views_recomputed,
         };
         // Return the workspace to the pool so next tick reuses its buffers.
         self.scratch = ctx;
@@ -1788,16 +1731,12 @@ impl OverlogRuntime {
         from_view_rule: bool,
         ctx: &mut TickCtx,
     ) -> Result<InsertOutcome> {
-        let t = &mut self.tables[tid.idx()];
-        // Deltas must hold exactly what the table holds (Addr coercion).
-        let row = t.coerce(row);
-        let outcome = t.insert(row.clone())?;
+        let (row, outcome) = self.store(tid, row)?;
         let change = match &outcome {
             InsertOutcome::New => Change::Insert(&row),
             InsertOutcome::Replaced(old) => Change::Overwrite(old, &row),
             InsertOutcome::Duplicate => return Ok(outcome),
         };
-        ctx.added[tid.idx()].push(row.clone());
         ctx.changed_tables.insert(tid);
         self.publish(tid, change, ctx);
         // A key-overwrite removes a tuple other derivations may have
@@ -1820,14 +1759,25 @@ impl OverlogRuntime {
         Ok(outcome)
     }
 
+    /// Insert `row` into table `tid` as stored (Addr-coerced), returning
+    /// the stored row with the insert's outcome: deltas must hold exactly
+    /// what the table holds.
+    fn store(&mut self, tid: TableId, row: Row) -> Result<(Row, InsertOutcome)> {
+        let t = &mut self.tables[tid.idx()];
+        let row = t.coerce(row);
+        let outcome = t.insert(row.clone())?;
+        Ok((row, outcome))
+    }
+
     /// The write path: publish one change made inside a tick. Writes its
-    /// log records (see [`Self::log_change`]), its watch trace, and, for a
-    /// view input, its entries in the maintenance logs `m_add`/`m_del`.
-    /// Every insert, overwrite and delete a tick commits comes through
-    /// here, from the semi-naive path and the maintainer alike; writes
-    /// that are unpublished on purpose (restore's replay, DRed's
-    /// over-delete and re-insert, a rebuild's own inserts) call the
-    /// table directly.
+    /// log records (see [`Self::log_change`]) and its watch trace, appends
+    /// an entering row to the tick's insert log `added` (its only writer)
+    /// and, for a view input, a leaving row to the maintenance log
+    /// `m_del`. Every insert, overwrite and delete a tick commits comes
+    /// through here: the semi-naive path, the maintainer, and a view
+    /// rebuild's diff. Writes that are unpublished on purpose (restore's
+    /// replay, DRed's over-delete and re-insert, a rebuild's own inserts
+    /// before its diff) call the table directly.
     fn publish(&mut self, tid: TableId, change: Change<'_>, ctx: &mut TickCtx) {
         self.log_change(tid, change);
         match change {
@@ -1836,23 +1786,21 @@ impl OverlogRuntime {
             }
             Change::Delete(row) => self.record_trace(tid, row, TraceOp::Delete),
         }
+        if let Some(new) = change.entering() {
+            ctx.added[tid.idx()].push(new.clone());
+        }
         if self.plan.view_inputs.contains(tid) {
             if let Some(old) = change.leaving() {
                 ctx.m_del[tid.idx()].push(old.clone());
-            }
-            if let Some(new) = change.entering() {
-                ctx.m_add[tid.idx()].push(new.clone());
             }
         }
     }
 
     /// The write path's log layer, also called alone by host writes
-    /// outside a tick and by a rebuild's tap diff. Appends the change's
-    /// write-ahead-log record, for durable tables only: the row as stored,
-    /// and for an overwrite just the new row (replay re-applies the
-    /// overwrite). Appends its tap records: an overwrite is a retraction
-    /// then an insert, and nothing is written while a rebuild suspends
-    /// the taps.
+    /// outside a tick. Appends the change's write-ahead-log record, for
+    /// durable tables only: the row as stored, and for an overwrite just
+    /// the new row (replay re-applies the overwrite). Appends its tap
+    /// records: an overwrite is a retraction then an insert.
     fn log_change(&mut self, tid: TableId, change: Change<'_>) {
         if self.durable_ids.contains(tid) {
             let (row, op) = match change {
@@ -1861,7 +1809,7 @@ impl OverlogRuntime {
             };
             self.commit_log.push((tid, row.clone(), op));
         }
-        if self.tap_ids.contains(tid) && !self.tap_suspended {
+        if self.tap_ids.contains(tid) {
             let (tick, now) = (self.tick_count, self.now);
             if let Some(old) = change.leaving() {
                 self.tap_log
@@ -1876,7 +1824,7 @@ impl OverlogRuntime {
 
     fn record_trace(&mut self, tid: TableId, row: &Row, op: TraceOp) {
         if self.trace_all || self.watch_ids.contains(tid) {
-            if self.trace.len() >= self.trace_cap {
+            if self.trace.len() >= TRACE_CAP {
                 self.trace.pop_front();
                 self.trace_dropped += 1;
             }
@@ -1900,7 +1848,7 @@ impl OverlogRuntime {
         if self.prov_seen.contains(&key) {
             return;
         }
-        if self.prov.len() >= self.prov_cap {
+        if self.prov.len() >= PROV_CAP {
             self.prov_dropped += 1;
             return;
         }
@@ -2117,73 +2065,30 @@ impl OverlogRuntime {
         out
     }
 
-    /// Clear the `affected` view tables and re-derive them, treating every
-    /// other materialized table (bases *and* unaffected views) as stable
-    /// seed state. Uses the same cursor-over-log delta representation as
-    /// `tick`, local to this call.
+    /// Clear the `affected` view tables and re-derive them in one
+    /// stratified loop, treating every other materialized table (bases
+    /// *and* unaffected views) as stable seed state. An aggregate view
+    /// folds its whole body at its stratum's entry; every other view runs
+    /// semi-naively over a seed log local to this call, as in `tick`. Then
+    /// the rebuild publishes each view's exact before/after diff, in
+    /// sorted-row order, so taps, the watch trace and the tick's delta
+    /// logs see what changed and nothing else.
     fn recompute_views(&mut self, affected: &IdSet, ctx: &mut TickCtx) -> Result<()> {
         self.eval_stats.view_recomputes += 1;
-        // Tapped views are about to be cleared and rebuilt wholesale;
-        // snapshot them so the rebuild can be reported to subscribers as
-        // an exact retract/insert diff (cost is bounded by the recompute
-        // that is happening anyway).
-        let tap_before: Vec<(TableId, Vec<Row>)> = if self.tap_ids.intersects(affected) {
-            affected
-                .iter()
-                .filter(|v| self.tap_ids.contains(*v))
-                .map(|v| (v, self.tables[v.idx()].sorted_rows()))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let plan = Arc::clone(&self.plan);
+        let ntables = self.tables.len();
+        let before: Vec<(TableId, Vec<Row>)> = affected
+            .iter()
+            .map(|v| (v, self.tables[v.idx()].sorted_rows()))
+            .collect();
         for v in affected.iter() {
             self.tables[v.idx()].clear();
         }
-        self.tap_suspended = !tap_before.is_empty();
-        let res = self.rebuild_affected_views(affected, ctx);
-        self.tap_suspended = false;
-        res?;
-        // Emit the rebuild diff for tapped views: rows that vanished are
-        // retractions, rows that appeared are inserts (sorted merge over
-        // the before/after snapshots).
-        for (tid, before) in tap_before {
-            let after = self.tables[tid.idx()].sorted_rows();
-            let (mut i, mut j) = (0usize, 0usize);
-            while i < before.len() || j < after.len() {
-                match (before.get(i), after.get(j)) {
-                    (Some(b), Some(a)) if b == a => {
-                        i += 1;
-                        j += 1;
-                    }
-                    (Some(b), Some(a)) if b < a => {
-                        self.log_change(tid, Change::Delete(b));
-                        i += 1;
-                    }
-                    (_, Some(a)) => {
-                        self.log_change(tid, Change::Insert(a));
-                        j += 1;
-                    }
-                    (Some(b), None) => {
-                        self.log_change(tid, Change::Delete(b));
-                        i += 1;
-                    }
-                    (None, None) => unreachable!("loop condition"),
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The rebuild loop of [`Self::recompute_views`], split out so tap
-    /// suspension brackets every exit path (including `?` errors).
-    fn rebuild_affected_views(&mut self, affected: &IdSet, ctx: &mut TickCtx) -> Result<()> {
-        let plan = Arc::clone(&self.plan);
-        let ntables = self.tables.len();
         // Seed: full contents of every materialized table that is not
         // being rebuilt *and* is actually consumed by an affected rule's
         // positive body. Negated bodies and aggregate inputs read the live
         // tables directly, so they need no seed rows; everything else is
-        // dead weight in the delta logs.
+        // dead weight in the seed log.
         let mut needed = IdSet::new();
         for rule in plan.rules.iter() {
             if rule.is_view && !rule.aggregate && affected.contains(rule.head_tid) {
@@ -2206,8 +2111,9 @@ impl OverlogRuntime {
             for &rid in stratum {
                 let rule = &plan.rules[rid];
                 if rule.is_view && rule.aggregate && affected.contains(rule.head_tid) {
-                    // Recompute into the cleared table.
-                    self.eval_agg_into(rule, &mut added, ctx)?;
+                    let rows = self.eval_groups(rule, &rule.variants[0], None, &mut ctx.eval)?;
+                    self.eval_stats.agg_folds_rebuild += rows.len() as u64;
+                    self.rebuild_rows(rule, rows, None, &mut added, ctx)?;
                 }
             }
             // Reseed each stratum with the cumulative log, as in `tick`.
@@ -2241,54 +2147,75 @@ impl OverlogRuntime {
                             Some(&added[dt][lo..h]),
                             &mut ctx.eval,
                         )?;
-                        for (i, row) in rows.into_iter().enumerate() {
-                            ctx.derivations += 1;
-                            if ctx.derivations > self.budget {
-                                return Err(OverlogError::Eval(
-                                    "derivation budget exceeded during view recomputation".into(),
-                                ));
-                            }
-                            match self.tables[rule.head_tid.idx()].insert(row.clone())? {
-                                InsertOutcome::New | InsertOutcome::Replaced(_) => {
-                                    self.eval_stats.view_rows_rebuilt += 1;
-                                    let inputs: &[(String, Row)] = sups
-                                        .as_ref()
-                                        .and_then(|s| s.get(i))
-                                        .map(|v| v.as_slice())
-                                        .unwrap_or(&[]);
-                                    self.record_prov(rule, &row, inputs);
-                                    added[rule.head_tid.idx()].push(row);
-                                }
-                                InsertOutcome::Duplicate => {}
-                            }
-                        }
+                        self.rebuild_rows(rule, rows, sups, &mut added, ctx)?;
                     }
                 }
                 cursor.copy_from_slice(&hi);
             }
         }
+        // Publish the diff: rows that vanished are deletes, rows that
+        // appeared are inserts (sorted merge over the before/after rows).
+        for (v, before) in before {
+            let after = self.tables[v.idx()].sorted_rows();
+            let (mut i, mut j) = (0usize, 0usize);
+            loop {
+                let change = match (before.get(i), after.get(j)) {
+                    (Some(b), Some(a)) if b == a => {
+                        i += 1;
+                        j += 1;
+                        continue;
+                    }
+                    (Some(b), Some(a)) if b < a => {
+                        i += 1;
+                        Change::Delete(b)
+                    }
+                    (Some(b), None) => {
+                        i += 1;
+                        Change::Delete(b)
+                    }
+                    (_, Some(a)) => {
+                        j += 1;
+                        Change::Insert(a)
+                    }
+                    (None, None) => break,
+                };
+                self.publish(v, change, ctx);
+            }
+        }
         Ok(())
     }
 
-    /// Aggregate recomputation used inside `recompute_views`.
-    fn eval_agg_into(
+    /// Insert a rebuild's rows for `rule` into its cleared head table, with
+    /// their provenance witnesses, unpublished (the rebuild publishes its
+    /// diff once it is done). Every row that changed the table joins the
+    /// seed log `added`.
+    fn rebuild_rows(
         &mut self,
         rule: &CompiledRule,
+        rows: Vec<Row>,
+        sups: Option<Vec<Witness>>,
         added: &mut [Vec<Row>],
         ctx: &mut TickCtx,
     ) -> Result<()> {
-        // Reuse eval_aggregate but capture its insertions via the pooled
-        // sub-context (a fresh `TickCtx` per recompute would re-allocate
-        // every per-table buffer each time a view aggregate rebuilds).
-        let mut sub = std::mem::take(&mut self.agg_scratch);
-        sub.reset(self.tables.len());
-        self.eval_aggregate(rule, &mut sub)?;
-        ctx.derivations += sub.derivations;
-        self.eval_stats.view_rows_rebuilt += sub.added.iter().map(|r| r.len() as u64).sum::<u64>();
-        for (i, rows) in sub.added.iter_mut().enumerate() {
-            added[i].append(rows);
+        for (i, row) in rows.into_iter().enumerate() {
+            ctx.derivations += 1;
+            if ctx.derivations > self.budget {
+                return Err(OverlogError::Eval(
+                    "derivation budget exceeded during view recomputation".into(),
+                ));
+            }
+            let (row, outcome) = self.store(rule.head_tid, row)?;
+            if outcome != InsertOutcome::Duplicate {
+                self.eval_stats.view_rows_rebuilt += 1;
+                let inputs: &[(String, Row)] = sups
+                    .as_ref()
+                    .and_then(|s| s.get(i))
+                    .map(|v| v.as_slice())
+                    .unwrap_or(&[]);
+                self.record_prov(rule, &row, inputs);
+                added[rule.head_tid.idx()].push(row);
+            }
         }
-        self.agg_scratch = sub;
         Ok(())
     }
 
@@ -2297,11 +2224,12 @@ impl OverlogRuntime {
     // by `crate::analysis::maint`, threaded through `Plan::maint`).
     ///////////////////////////////////////////////////////////////////////
 
-    /// The maintenance replacement for [`Self::recompute_views`]: update
-    /// each affected view in place from its inputs' per-tick delta logs
-    /// where the analysis certified a strategy, and recompute the rest in
-    /// one batch. Falling back never changes results — a maintained view
-    /// and a recomputed view hold byte-identical rows — only cost.
+    /// Bring the affected views up to date: update each in place from its
+    /// inputs' per-tick delta logs where the analysis certified a
+    /// strategy, and rebuild the rest in one batch (every one of them with
+    /// [`plan::PlanOptions::maintenance`] off). Falling back never changes
+    /// results — a maintained view and a rebuilt view hold byte-identical
+    /// rows — only cost.
     fn update_views(&mut self, affected: &IdSet, ctx: &mut TickCtx) -> Result<()> {
         let plan = Arc::clone(&self.plan);
         // Split the affected set: strategy views are ordered topologically
@@ -2311,7 +2239,7 @@ impl OverlogRuntime {
         let mut fallback = IdSet::new();
         let mut remaining: Vec<TableId> = Vec::new();
         for v in affected.iter() {
-            if plan.maint.views.contains_key(&v) {
+            if plan.options.maintenance && plan.maint.views.contains_key(&v) {
                 remaining.push(v);
             } else {
                 fallback.insert(v);
@@ -2565,7 +2493,7 @@ impl OverlogRuntime {
         for r in rules {
             let s = r.anchor.tid;
             let (a0, _) = ctx.view_marks.get(&(v, s)).copied().unwrap_or((0, 0));
-            let added: Vec<Row> = ctx.m_add[s.idx()][a0..]
+            let added: Vec<Row> = ctx.added[s.idx()][a0..]
                 .iter()
                 .filter(|row| self.tables[s.idx()].contains(row))
                 .cloned()
@@ -2747,12 +2675,12 @@ impl OverlogRuntime {
         for dep in sources {
             let s = dep.tid.idx();
             let (a0, d0) = ctx.view_marks.get(&(v, dep.tid)).copied().unwrap_or((0, 0));
-            if ctx.m_add[s].len() == a0 && ctx.m_del[s].len() == d0 {
+            if ctx.added[s].len() == a0 && ctx.m_del[s].len() == d0 {
                 continue;
             }
             match &dep.keys {
                 KeySource::Direct(binds) => {
-                    for row in ctx.m_add[s][a0..].iter().chain(&ctx.m_del[s][d0..]) {
+                    for row in ctx.added[s][a0..].iter().chain(&ctx.m_del[s][d0..]) {
                         keys.insert(
                             binds
                                 .iter()
@@ -2767,7 +2695,7 @@ impl OverlogRuntime {
                 &KeySource::Join { rule, variant } => {
                     let rule = &plan.rules[rule];
                     let (mut rows, _) =
-                        self.maint_eval(rule, variant, &ctx.m_add[s][a0..], &mut ctx.eval)?;
+                        self.maint_eval(rule, variant, &ctx.added[s][a0..], &mut ctx.eval)?;
                     rows.extend(
                         self.maint_eval(rule, variant, &ctx.m_del[s][d0..], &mut ctx.eval)?
                             .0,
@@ -2841,15 +2769,15 @@ impl OverlogRuntime {
     fn advance_marks(&self, v: TableId, sources: impl Iterator<Item = TableId>, ctx: &mut TickCtx) {
         for s in sources {
             ctx.view_marks
-                .insert((v, s), (ctx.m_add[s.idx()].len(), ctx.m_del[s.idx()].len()));
+                .insert((v, s), (ctx.added[s.idx()].len(), ctx.m_del[s.idx()].len()));
         }
     }
 
-    /// Direct insert into a maintained view, mirroring the rebuild path's
-    /// semantics (no semi-naive delta log, no coercion), published like
-    /// every tick write (see [`Self::publish`]): the view's own delta log
-    /// feeds downstream maintained views. Returns whether the row changed
-    /// the table (new or key-overwrite).
+    /// Insert into a maintained view, published like every tick write
+    /// (see [`Self::publish`]): the stored row enters the tick's insert
+    /// log, which feeds downstream maintained views and, before the
+    /// fixpoint, the fixpoint itself. Returns whether the row changed the
+    /// table (new or key-overwrite).
     fn maint_insert(
         &mut self,
         v: TableId,
@@ -2859,7 +2787,7 @@ impl OverlogRuntime {
         ctx: &mut TickCtx,
     ) -> Result<bool> {
         self.charge_derivation(ctx)?;
-        let outcome = self.tables[v.idx()].insert(row.clone())?;
+        let (row, outcome) = self.store(v, row)?;
         let change = match &outcome {
             InsertOutcome::New => Change::Insert(&row),
             InsertOutcome::Replaced(old) => Change::Overwrite(old, &row),

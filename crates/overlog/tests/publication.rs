@@ -6,18 +6,21 @@
 //! One durable, tapped, watched base table `base` feeds one tapped,
 //! watched view `vw`, a `sum` aggregate the maintainer keeps by keyed
 //! re-derivation. Its negated input `blocked` binds no group column, so
-//! growth of `blocked` forces the fallback rebuild. The script drives an
-//! insert, a key overwrite, a duplicate, a delete, a maintained
+//! growth of `blocked` forces the fallback rebuild. A watched,
+//! non-aggregate view `big` over `vw` falls back with it. The script
+//! drives an insert, a key overwrite, a duplicate, a delete, a maintained
 //! re-derivation, a fallback rebuild, `clear_table` and
 //! `load_snapshot_rows`, and after each step asserts the exact records
 //! of all three streams. The rules the records follow:
 //!
 //! * WAL: durable base tables only; an overwrite logs only the new row.
-//! * Taps: an overwrite is a retraction then an insert; a view rebuild
-//!   reports the sorted before/after diff.
-//! * Trace: the changes a tick commits, and the rows an aggregate view's
-//!   rebuild re-inserts; the rows `clear_table` and `load_snapshot_rows`
-//!   remove and install are not traced.
+//! * Taps: an overwrite is a retraction then an insert.
+//! * Trace: every change published, an overwrite as an insert; the base
+//!   rows `clear_table` and `load_snapshot_rows` remove and install are
+//!   not traced.
+//! * A view rebuild, aggregate or not, publishes its sorted before/after
+//!   diff to the taps and the trace alike: unchanged rows publish
+//!   nothing.
 
 use boom_overlog::{CommitOp, OverlogRuntime, Row, TraceOp, Value};
 
@@ -25,9 +28,12 @@ const PROG: &str = "
     define(base, keys(0), {Int, Int, Int});
     define(blocked, keys(0), {Int});
     define(vw, keys(0), {Int, Int});
+    define(big, keys(0), {Int});
     watch(base);
     watch(vw);
+    watch(big);
     vw(G, sum<V>) :- base(_, G, V), notin blocked(V);
+    big(G) :- vw(G, S), S > 20;
 ";
 
 fn fmt_row(row: &Row) -> String {
@@ -156,6 +162,7 @@ fn every_change_publishes_its_recipe() {
             "tap +vw(7,25) @3/40",
             "trace insert base(2,7,5) @3/40",
             "trace insert vw(7,25) @3/40",
+            "trace insert big(7) @3/40",
         ]
     );
 
@@ -182,6 +189,7 @@ fn every_change_publishes_its_recipe() {
             "trace delete base(2,7,5) @4/50",
             "trace insert vw(7,20) @4/50",
             "trace insert vw(8,1) @4/50",
+            "trace delete big(7) @4/50",
         ]
     );
     let after = rt.eval_stats();
@@ -222,12 +230,13 @@ fn every_change_publishes_its_recipe() {
             "trace insert base(1,7,20) @6/70",
             "trace insert base(2,7,5) @6/70",
             "trace insert vw(7,25) @6/70",
+            "trace insert big(7) @6/70",
         ]
     );
 
     // Fallback rebuild: `blocked` cannot name a group, so the view is
-    // rebuilt. The tap reports the sorted before/after diff; the trace
-    // records every row the aggregate rebuild re-inserts.
+    // rebuilt, and `big` with it. Both publish their sorted before/after
+    // diff: nothing for the unchanged `vw(8,1)`.
     let before = rt.eval_stats();
     let got = step(&mut rt, 80, &[("blocked", &[5])], &[]);
     assert_eq!(
@@ -237,13 +246,15 @@ fn every_change_publishes_its_recipe() {
             "tap +vw(7,20) @7/80",
             "tap -vw(7,25) @7/80",
             "trace insert vw(7,20) @7/80",
-            "trace insert vw(8,1) @7/80",
+            "trace delete vw(7,25) @7/80",
+            "trace delete big(7) @7/80",
         ]
     );
     assert_eq!(rt.eval_stats().view_recomputes - before.view_recomputes, 1);
 
     // `clear_table` logs and taps every removed row (in storage order),
-    // records no trace, and rebuilds the view.
+    // records no trace for them, and rebuilds the view, which publishes
+    // its diff.
     assert_eq!(rt.clear_table("base").unwrap(), 3);
     assert_eq!(
         drain(&mut rt),
@@ -256,6 +267,8 @@ fn every_change_publishes_its_recipe() {
             "tap -base(2,7,5) @8/80",
             "tap -vw(7,20) @8/80",
             "tap -vw(8,1) @8/80",
+            "trace delete vw(7,20) @8/80",
+            "trace delete vw(8,1) @8/80",
         ]
     );
 
@@ -297,6 +310,7 @@ fn every_change_publishes_its_recipe() {
             "tap +base(4,9,6) @8/80",
             "tap -vw(9,5) @8/80",
             "tap +vw(9,6) @8/80",
+            "trace delete vw(9,5) @8/80",
             "trace insert vw(9,6) @8/80",
         ]
     );

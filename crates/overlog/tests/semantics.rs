@@ -5,7 +5,7 @@
 mod oracle;
 
 use boom_overlog::value::row;
-use boom_overlog::{OverlogError, OverlogRuntime, Row, TraceOp, Value};
+use boom_overlog::{OverlogError, OverlogRuntime, PlanOptions, Row, TraceOp, Value};
 use std::sync::Arc;
 
 fn rt(src: &str) -> OverlogRuntime {
@@ -726,6 +726,160 @@ fn aggregate_refolds_after_a_deferred_delete_in_its_tick() {
     assert_eq!(after.agg_folds_rebuild, 0);
 }
 
+/// A runtime over `src` with maintenance on or off.
+fn rt_with(src: &str, maintenance: bool) -> OverlogRuntime {
+    let mut r = rt(src);
+    r.set_plan_options(PlanOptions {
+        maintenance,
+        ..Default::default()
+    });
+    r
+}
+
+/// Every materialized table but `me`, rows sorted, one `table[row]` per
+/// line: the format of [`oracle::Oracle::dump`].
+fn dump(r: &OverlogRuntime) -> String {
+    let mut tables: Vec<String> = r.table_decls().map(|d| d.name.clone()).collect();
+    tables.sort();
+    let mut s = String::new();
+    for t in tables {
+        let table = r.table(&t).expect("declared");
+        if table.is_event() || t == "me" {
+            continue;
+        }
+        for row in table.sorted_rows() {
+            s.push_str(&format!("{t}{row:?}\n"));
+        }
+    }
+    s
+}
+
+/// Rows the maintainer adds before the fixpoint seed it: host-deleting
+/// `c(1)` brings `v(1)` back before the fixpoint, and the event rule over
+/// `v` fires for it, with maintenance on (the maintainer re-derives the
+/// key) and off (the view is rebuilt). A remote rule over `v` ships it.
+#[test]
+fn rows_a_view_regains_before_the_fixpoint_fire_its_event_rules() {
+    const SRC: &str = "define(b, keys(0), {Int});
+         define(c, keys(0), {Int});
+         define(v, keys(0), {Int});
+         define(seen, keys(0), {Int});
+         event alert, {Int};
+         v(X) :- b(X), notin c(X);
+         alert(X) :- v(X);
+         seen(X) :- alert(X);";
+    let int = |x: i64| row(vec![Value::Int(x)]);
+    for maintenance in [false, true] {
+        let (mut r, mut o) = (rt_with(SRC, maintenance), oracle::Oracle::new(SRC));
+        for (t, x) in [("b", 1), ("b", 2), ("c", 1)] {
+            r.insert(t, int(x)).unwrap();
+            o.insert(t, int(x));
+        }
+        // The oracle re-fires `alert` every tick, so it never quiesces:
+        // tick both a fixed number of times.
+        for now in 0..2 {
+            r.tick(now).unwrap();
+            o.tick();
+        }
+        assert_eq!(ints(&r, "seen"), vec![vec![2]]);
+        r.delete("c", int(1)).unwrap();
+        o.delete("c", int(1));
+        for now in 2..4 {
+            r.tick(now).unwrap();
+            o.tick();
+        }
+        assert_eq!(
+            ints(&r, "seen"),
+            vec![vec![1], vec![2]],
+            "maintenance={maintenance}"
+        );
+        assert_eq!(dump(&r), o.dump(), "maintenance={maintenance}");
+
+        let mut r = rt_with(
+            &format!("{SRC} event out, {{Addr, Int}}; out(@\"n2\", X) :- v(X);"),
+            maintenance,
+        );
+        for (t, x) in [("b", 1), ("b", 2), ("c", 1)] {
+            r.insert(t, int(x)).unwrap();
+        }
+        r.settle(0).unwrap();
+        r.delete("c", int(1)).unwrap();
+        let sends = r.tick(1).unwrap().sends;
+        let shipped: Vec<(&str, &str, Row)> = sends
+            .iter()
+            .map(|s| (&*s.dest, s.table.as_str(), s.row.clone()))
+            .collect();
+        assert_eq!(
+            shipped,
+            [("n2", "out", row(vec![Value::str("n2"), Value::Int(1)]))],
+            "maintenance={maintenance}"
+        );
+    }
+}
+
+/// A row the queue inserts and then removes in one tick leaves no view row
+/// behind: the pass that maintains the views before the fixpoint (run
+/// because the queue deleted a view input) already saw the removal, so
+/// the fixpoint must not re-derive from the removed row.
+#[test]
+fn a_row_queued_in_and_out_in_one_tick_leaves_no_view_row() {
+    const SRC: &str = "define(b, keys(0), {Int});
+         define(v, keys(0), {Int});
+         v(X) :- b(X);";
+    let int = |x: i64| row(vec![Value::Int(x)]);
+    for maintenance in [false, true] {
+        let (mut r, mut o) = (rt_with(SRC, maintenance), oracle::Oracle::new(SRC));
+        r.insert("b", int(1)).unwrap();
+        r.delete("b", int(1)).unwrap();
+        o.insert("b", int(1));
+        o.delete("b", int(1));
+        for now in 0..2 {
+            r.tick(now).unwrap();
+            o.tick();
+            assert_eq!(dump(&r), o.dump(), "maintenance={maintenance}");
+        }
+        assert_eq!(r.count("v"), 0, "maintenance={maintenance}");
+    }
+}
+
+/// The same for a key overwrite in the queue: `b(1, 20)` replaces
+/// `b(1, 10)` in the tick that also deletes `c(5)`, so the views are
+/// maintained before the fixpoint, and the whole-row view `v` must hold
+/// only `v(1, 20)`.
+#[test]
+fn a_row_overwritten_in_the_queue_leaves_no_view_row() {
+    const SRC: &str = "define(b, keys(0), {Int, Int});
+         define(v, keys(0, 1), {Int, Int});
+         define(c, keys(0), {Int});
+         define(w, keys(0), {Int});
+         v(X, Y) :- b(X, Y);
+         w(X) :- c(X);";
+    let ints_row = |xs: &[i64]| row(xs.iter().map(|&x| Value::Int(x)));
+    for maintenance in [false, true] {
+        let (mut r, mut o) = (rt_with(SRC, maintenance), oracle::Oracle::new(SRC));
+        r.insert("c", ints_row(&[5])).unwrap();
+        o.insert("c", ints_row(&[5]));
+        r.tick(0).unwrap();
+        o.tick();
+        for b in [[1, 10], [1, 20]] {
+            r.insert("b", ints_row(&b)).unwrap();
+            o.insert("b", ints_row(&b));
+        }
+        r.delete("c", ints_row(&[5])).unwrap();
+        o.delete("c", ints_row(&[5]));
+        for now in 1..3 {
+            r.tick(now).unwrap();
+            o.tick();
+            assert_eq!(dump(&r), o.dump(), "maintenance={maintenance}");
+        }
+        assert_eq!(
+            ints(&r, "v"),
+            vec![vec![1, 20]],
+            "maintenance={maintenance}"
+        );
+    }
+}
+
 /// A runtime with a counting builtin `f(X)` (returns `X`) and the call
 /// counter it bumps.
 fn counting(src: &str) -> (OverlogRuntime, Arc<std::sync::atomic::AtomicUsize>) {
@@ -791,7 +945,6 @@ fn short_circuit_and_stateful_builtin_call_counts() {
 mod kernels {
     use super::*;
     use crate::oracle::Oracle;
-    use boom_overlog::PlanOptions;
 
     /// A workload exercising every kernel op shape: a typed int-keyed
     /// join (the `i64` index path), a string-keyed join (generic
@@ -846,19 +999,7 @@ mod kernels {
         r.tick(1).unwrap();
         r.settle(1).unwrap();
         let kernel_evals: u64 = r.rule_stats().iter().map(|(_, s)| s.kernel_evals).sum();
-        let mut tables: Vec<String> = r.table_decls().map(|d| d.name.clone()).collect();
-        tables.sort();
-        let mut s = String::new();
-        for t in tables {
-            let table = r.table(&t).expect("declared");
-            if table.is_event() || t == "me" {
-                continue;
-            }
-            for row in table.sorted_rows() {
-                s.push_str(&format!("{t}{row:?}\n"));
-            }
-        }
-        (s, kernel_evals)
+        (dump(&r), kernel_evals)
     }
 
     fn oracle(reports: i64) -> String {
